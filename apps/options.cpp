@@ -151,8 +151,6 @@ ServeOptions ServeOptions::parse(const Options& options) {
   if (parsed.batch_window_ms < 0)
     throw std::runtime_error("--batch-window: must be >= 0");
   parsed.checkpoint_dir = options.get_string("checkpoint-dir", "");
-  parsed.batch_threads =
-      get_size(options, "batch-threads", parsed.batch_threads, 0);
   return parsed;
 }
 

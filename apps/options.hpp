@@ -110,7 +110,6 @@ struct ServeOptions {
   std::size_t max_batch = 16;
   long batch_window_ms = 5;
   std::string checkpoint_dir;
-  std::size_t batch_threads = 0;
 
   static ServeOptions parse(const Options& options);
 };

@@ -97,9 +97,9 @@ int usage() {
       "           --cells must match the controller's)\n"
       "  serve    [--cells C] [--listen HOST:PORT] [--max-pending N]\n"
       "           [--max-outstanding N] [--max-batch N] [--batch-window MS]\n"
-      "           [--checkpoint-dir DIR] [--batch-threads N]\n"
-      "           (multi-tenant energy daemon; Ctrl-C checkpoints live\n"
-      "           sessions and exits)\n"
+      "           [--checkpoint-dir DIR]\n"
+      "           (multi-tenant energy daemon; OMP_NUM_THREADS sizes its\n"
+      "           solves; Ctrl-C checkpoints live sessions and exits)\n"
       "  client   --connect HOST:PORT [--tenant NAME] [--evals K]\n"
       "           [--walkers W] [--seed S] [--cells C] [--check 0|1]\n"
       "           [--resume-session ID --resume-token TOK]\n"
@@ -481,7 +481,6 @@ int cmd_serve(const cli::ServeOptions& opt) {
   serve_options.limits.batch_window =
       std::chrono::milliseconds(opt.batch_window_ms);
   serve_options.checkpoint_dir = opt.checkpoint_dir;
-  serve_options.gemm_batch_threads = opt.batch_threads;
   serve_options.on_listening = [](const std::string& address) {
     std::printf("serving on %s\n", address.c_str());
     std::fflush(stdout);

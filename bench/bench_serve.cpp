@@ -1,11 +1,13 @@
-// The serving daemon's cross-walker batched dispatch measured for real:
-// eight concurrent walkers' energy requests coalesced by the BatchScheduler
-// into lock-step Schur solves (one zgemm_view_batch per elimination round)
-// versus the same requests computed one at a time through the synchronous
-// service — and the same comparison end-to-end over a live TCP daemon with
-// eight connected tenants. Every batched energy is cross-checked against
-// the serial solver and the bench fails loudly unless they are
-// bit-identical.
+// The serving daemon's cross-walker batching measured for real: eight
+// concurrent walkers' energy requests coalesced by the BatchScheduler into
+// batches, each solved as one OpenMP loop over its (configuration, atom)
+// zone solves, versus the same requests computed one at a time through the
+// synchronous service — and the same comparison end-to-end over a live TCP
+// daemon with eight connected tenants. Every batched energy is
+// cross-checked against the serial solver. The bench fails unless they are
+// bit-identical, batching engaged, and batched throughput is at least
+// kMinBatchedRatio of one-at-a-time throughput. The OpenMP team comes from
+// OMP_NUM_THREADS (default: every core).
 //
 // Writes BENCH_serve.json (path = argv[1], default ./BENCH_serve.json) for
 // regression tracking; `ctest -L perf` runs it as perf_serve.
@@ -19,7 +21,6 @@
 #include <vector>
 
 #include "io/table.hpp"
-#include "linalg/blas.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/scheduler.hpp"
@@ -33,10 +34,15 @@ constexpr std::size_t kRounds = 4;    // submissions per walker
 constexpr std::size_t kEvals = kWalkers * kRounds;
 constexpr int kReps = 5;              // timing reps, min taken
 
+/// Gate: batched ÷ one-at-a-time throughput below this fails the bench.
+/// 25 runs on a 4-core host read 0.98-1.21, so host noise between best-of-5
+/// timings stays above it, while a batch path 4x slower than one-at-a-time
+/// (which read 0.26) falls far below it.
+constexpr double kMinBatchedRatio = 0.9;
+
 /// Serving-fidelity substrate: the fast contour but a 50-member LIZ, so the
-/// order-102 zone solves sit above the blocked-LU threshold and the batch
-/// actually takes the lock-step elimination path (the fast test LIZ falls
-/// back to per-item singleton solves).
+/// order-100 member eliminations run the blocked, GEMM-dominated LU the
+/// paper geometry uses (the fast test LIZ factorizes unblocked).
 std::shared_ptr<const lsms::LsmsSolver> serving_solver() {
   lsms::LsmsParameters params = lsms::fe_lsms_parameters_fast();
   params.liz_radius = 9.1;  // 1st-4th bcc shells: 50 neighbours
@@ -167,9 +173,9 @@ Timed best_of(const std::vector<Timed>& reps) {
 
 int main(int argc, char** argv) {
   bench::banner(
-      "serving daemon (cross-walker batched ZGEMM dispatch)",
-      "M independent walkers' LIZ solves coalesced into lock-step batched "
-      "GEMM without changing a single bit of any energy");
+      "serving daemon (cross-walker batching)",
+      "M independent walkers' LIZ solves coalesced into one OpenMP loop per "
+      "batch without changing a single bit of any energy");
 
   const std::string json_path = argc > 1 ? argv[1] : "BENCH_serve.json";
 
@@ -191,13 +197,6 @@ int main(int argc, char** argv) {
   for (std::size_t k = 0; k < kEvals; ++k)
     reference[k] = energy.total_energy(configs[k]);  // also warms caches
 
-  // The batch dispatch parallelizes BETWEEN items (bit-identical at any
-  // worker count); give it the machine. On a single-core host this is a
-  // no-op and the comparison is pure dispatch arithmetic.
-  const std::size_t saved_threads = linalg::zgemm_batch_threads();
-  linalg::set_zgemm_batch_threads(
-      std::max(1u, std::thread::hardware_concurrency()));
-
   // Alternate which mode runs first so thermal / frequency drift over the
   // run cannot systematically favour either side of the min.
   std::vector<Timed> serial_reps, batched_reps, tcp_reps;
@@ -211,7 +210,6 @@ int main(int argc, char** argv) {
     }
   }
   tcp_reps.push_back(run_tcp_daemon(solver, configs, reference));
-  linalg::set_zgemm_batch_threads(saved_threads);
   const Timed serial = best_of(serial_reps);
   const Timed batched = best_of(batched_reps);
   const Timed tcp = best_of(tcp_reps);
@@ -234,13 +232,15 @@ int main(int argc, char** argv) {
   add_row("tcp daemon, 8 tenants", tcp);
   table.print();
 
+  const double ratio = batched_tput / serial_tput;
   std::printf("\nbatched vs one-at-a-time: %.2fx aggregate throughput at "
-              "%zu concurrent walkers, occupancy %.1f\n",
-              batched_tput / serial_tput, kWalkers, batched.occupancy);
+              "%zu concurrent walkers, occupancy %.1f (gate: >= %.2fx)\n",
+              ratio, kWalkers, batched.occupancy, kMinBatchedRatio);
   if (batched.occupancy <= 1.0)
     std::printf("** batching never engaged — occupancy <= 1 **\n");
-  if (batched_tput <= serial_tput)
-    std::printf("** batched dispatch did not beat one-at-a-time **\n");
+  if (ratio < kMinBatchedRatio)
+    std::printf("** batched throughput %.2fx is below the %.2fx gate **\n",
+                ratio, kMinBatchedRatio);
 
   const double worst_diff =
       std::max(batched.max_diff, std::max(tcp.max_diff, serial.max_diff));
@@ -267,9 +267,12 @@ int main(int argc, char** argv) {
                "}\n",
                kWalkers, kEvals, serial.seconds, serial_tput, batched.seconds,
                batched_tput, batched.occupancy, tcp.seconds, tcp_tput,
-               tcp.occupancy, batched_tput / serial_tput, worst_diff);
+               tcp.occupancy, ratio, worst_diff);
   std::fclose(json);
   std::printf("results written to %s\n", json_path.c_str());
 
-  return (worst_diff == 0.0 && batched.occupancy > 1.0) ? 0 : 1;
+  return (worst_diff == 0.0 && batched.occupancy > 1.0 &&
+          ratio >= kMinBatchedRatio)
+             ? 0
+             : 1;
 }

@@ -1,42 +1,13 @@
 #include "linalg/blas.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
-#include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "perf/flops.hpp"
 
 namespace wlsms::linalg {
 
 namespace {
-
-// Pool-granularity telemetry only: one bookkeeping touch per run() and one
-// per worker wake-up. The microkernel and packing loops stay uninstrumented
-// (flop accounting already happens once per zgemm call via perf::add_flops).
-struct GemmPoolMetrics {
-  obs::Counter& pool_runs;
-  obs::Counter& pool_tasks;
-  obs::Gauge& queue_depth;
-  obs::Histogram& task_wait_us;
-};
-
-GemmPoolMetrics& gemm_pool_metrics() {
-  static GemmPoolMetrics metrics{
-      obs::Registry::instance().counter("gemm.pool_runs"),
-      obs::Registry::instance().counter("gemm.pool_tasks"),
-      obs::Registry::instance().gauge("gemm.pool_queue_depth"),
-      obs::Registry::instance().histogram(
-          "gemm.task_wait_us",
-          {1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0}),
-  };
-  return metrics;
-}
 
 // ---------------------------------------------------------------------------
 // Blocking parameters.
@@ -57,131 +28,6 @@ constexpr std::size_t kNR = kGemmNR;
 // kernel wins on tiny shapes (the 2 x k x 2 Schur products, GEMV-like
 // slivers).
 constexpr std::size_t kPackThresholdFlops = 16 * 1024;
-
-// ---------------------------------------------------------------------------
-// Minimal persistent worker pool for the optional M-panel parallelism.
-// Default thread count is 1, in which case the pool is never created.
-
-class GemmPool {
- public:
-  static GemmPool& instance() {
-    static GemmPool pool;
-    return pool;
-  }
-
-  // Runs fn(0) .. fn(n_tasks - 1); the calling thread executes task 0 and
-  // the pool threads claim the rest. Serializes concurrent callers.
-  void run(std::size_t n_tasks, const std::function<void(std::size_t)>& fn) {
-    std::lock_guard<std::mutex> serial(run_mutex_);
-    GemmPoolMetrics& metrics = gemm_pool_metrics();
-    metrics.pool_runs.inc();
-    metrics.pool_tasks.add(n_tasks);
-    metrics.queue_depth.set(static_cast<double>(n_tasks - 1));
-    ensure_workers(n_tasks - 1);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      job_ = &fn;
-      next_task_ = 1;
-      n_tasks_ = n_tasks;
-      remaining_ = n_tasks - 1;
-      run_start_ = std::chrono::steady_clock::now();
-      ++generation_;
-    }
-    wake_.notify_all();
-    fn(0);
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [this] { return remaining_ == 0; });
-    job_ = nullptr;
-    metrics.queue_depth.set(0.0);
-  }
-
- private:
-  GemmPool() = default;
-
-  ~GemmPool() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      stopping_ = true;
-    }
-    wake_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  void ensure_workers(std::size_t n) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    while (workers_.size() < n)
-      workers_.emplace_back([this] { worker_loop(); });
-  }
-
-  void worker_loop() {
-    std::uint64_t seen_generation = 0;
-    for (;;) {
-      const std::function<void(std::size_t)>* job = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        wake_.wait(lock, [&] {
-          return stopping_ || generation_ != seen_generation;
-        });
-        if (stopping_) return;
-        seen_generation = generation_;
-        job = job_;
-      }
-      // job_ is nulled between runs; a worker that woke after the run it
-      // was signalled for already drained has nothing to do.
-      if (job == nullptr) continue;
-      // Claim tasks under the mutex, re-checking the generation on every
-      // claim: a worker preempted here while its run completes and a new
-      // run() installs fresh state must never claim the new run's tasks
-      // with the old (now dangling) job pointer, nor decrement the new
-      // run's remaining_. Tasks are whole GEMM row-panel chunks, so the
-      // per-claim lock is noise next to the work it hands out.
-      std::size_t executed = 0;
-      for (;;) {
-        std::size_t t;
-        std::chrono::steady_clock::time_point started{};
-        {
-          std::lock_guard<std::mutex> lock(mutex_);
-          if (generation_ != seen_generation || next_task_ >= n_tasks_) break;
-          t = next_task_++;
-          started = run_start_;
-        }
-        if (executed == 0) {
-          // Dispatch latency of this worker's first claim: notify-to-claim,
-          // one histogram touch per worker per run.
-          gemm_pool_metrics().task_wait_us.observe(
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - started)
-                  .count());
-        }
-        (*job)(t);
-        ++executed;
-      }
-      // Every claimed task belongs to seen_generation, and run() cannot
-      // return (so the next run cannot start) until each one is accounted
-      // here — remaining_ still belongs to this generation.
-      if (executed > 0) {
-        std::lock_guard<std::mutex> lock(mutex_);
-        remaining_ -= executed;
-        if (remaining_ == 0) done_.notify_all();
-      }
-    }
-  }
-
-  std::mutex run_mutex_;
-  std::mutex mutex_;
-  std::condition_variable wake_;
-  std::condition_variable done_;
-  std::vector<std::thread> workers_;
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  std::size_t next_task_ = 0;
-  std::size_t n_tasks_ = 0;
-  std::size_t remaining_ = 0;
-  std::uint64_t generation_ = 0;
-  std::chrono::steady_clock::time_point run_start_{};
-  bool stopping_ = false;
-};
-
-std::atomic<std::size_t> g_gemm_threads{1};
 
 // ---------------------------------------------------------------------------
 // Packing. A and B panels are deinterleaved into separate real and
@@ -362,16 +208,18 @@ struct PackBuffers {
 
 thread_local PackBuffers tl_buffers;
 
-// Computes the packed product for rows [m0, m1) of the current (pc, jc)
-// block: packs the A slice into this thread's buffer and sweeps the
-// microkernel over it. B is already packed by the caller.
-void gemm_rows(std::size_t m0, std::size_t m1, std::size_t kc,
-               std::size_t nc, Complex alpha, const Complex* a,
-               std::size_t lda, const double* br, const double* bi,
-               Complex* c, std::size_t ldc) {
+// Computes the packed product for all m rows of the current (pc, jc)
+// block: packs each A slice into this thread's buffer and sweeps the
+// microkernel over it. B is already packed by the caller. noclone keeps a
+// single copy: a constant-propagated clone (alpha from multiply()) would
+// give micro_kernel a second caller, GCC would then stop inlining it, and
+// the k = 16 trailing updates of the blocked LU run ~10% slower.
+[[gnu::noclone]] void gemm_rows(std::size_t m, std::size_t kc, std::size_t nc, Complex alpha,
+               const Complex* a, std::size_t lda, const double* br,
+               const double* bi, Complex* c, std::size_t ldc) {
   PackBuffers& buf = tl_buffers;
-  for (std::size_t ic = m0; ic < m1; ic += kMC) {
-    const std::size_t mc = std::min(kMC, m1 - ic);
+  for (std::size_t ic = 0; ic < m; ic += kMC) {
+    const std::size_t mc = std::min(kMC, m - ic);
     const std::size_t mc_padded = (mc + kMR - 1) / kMR * kMR;
     buf.reserve_a(mc_padded * kc);
     pack_a(mc, kc, a + ic, lda, buf.ar.data(), buf.ai.data());
@@ -435,7 +283,7 @@ void gemm_naive_view(std::size_t m, std::size_t n, std::size_t k,
 void gemm_packed_view(std::size_t m, std::size_t n, std::size_t k,
                       Complex alpha, const Complex* a, std::size_t lda,
                       const Complex* b, std::size_t ldb, Complex* c,
-                      std::size_t ldc, std::size_t threads) {
+                      std::size_t ldc) {
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t nc = std::min(kNC, n - jc);
     const std::size_t nc_padded = (nc + kNR - 1) / kNR * kNR;
@@ -444,126 +292,13 @@ void gemm_packed_view(std::size_t m, std::size_t n, std::size_t k,
       PackBuffers& buf = tl_buffers;
       buf.reserve_b(nc_padded * kc);
       pack_b(kc, nc, b + jc * ldb + pc, ldb, buf.br.data(), buf.bi.data());
-      const Complex* a_slice = a + pc * lda;
-      Complex* c_slice = c + jc * ldc;
-      // Spread M over the pool only when each worker gets a few full row
-      // panels; otherwise the fork/join overhead dominates.
-      const std::size_t n_chunks =
-          std::min(threads, m / (4 * kMR) + 1);
-      if (n_chunks <= 1) {
-        gemm_rows(0, m, kc, nc, alpha, a_slice, lda, buf.br.data(),
-                  buf.bi.data(), c_slice, ldc);
-      } else {
-        const double* br_shared = buf.br.data();
-        const double* bi_shared = buf.bi.data();
-        // Chunk boundaries aligned to MR so tiles never straddle workers.
-        const std::size_t panels = (m + kMR - 1) / kMR;
-        const std::size_t per_chunk = (panels + n_chunks - 1) / n_chunks;
-        auto task = [&](std::size_t t) {
-          const std::size_t p0 = t * per_chunk;
-          const std::size_t p1 = std::min(panels, p0 + per_chunk);
-          if (p0 >= p1) return;
-          gemm_rows(p0 * kMR, std::min(m, p1 * kMR), kc, nc, alpha, a_slice,
-                    lda, br_shared, bi_shared, c_slice, ldc);
-        };
-        GemmPool::instance().run(n_chunks, task);
-      }
+      gemm_rows(m, kc, nc, alpha, a + pc * lda, lda, buf.br.data(),
+                buf.bi.data(), c + jc * ldc, ldc);
     }
   }
 }
 
-// ---------------------------------------------------------------------------
-// Batched dispatch: many independent products per call (the serving
-// scheduler's cross-walker coalescing path).
-
-std::atomic<std::size_t> g_gemm_batch_threads{1};
-
-struct GemmBatchMetrics {
-  obs::Counter& dispatches;
-  obs::Counter& items;
-  obs::Histogram& occupancy;
-};
-
-GemmBatchMetrics& gemm_batch_metrics() {
-  static GemmBatchMetrics metrics{
-      obs::Registry::instance().counter("linalg.batch_dispatches"),
-      obs::Registry::instance().counter("linalg.batch_items"),
-      obs::Registry::instance().histogram(
-          "linalg.batch_occupancy",
-          {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0}),
-  };
-  return metrics;
-}
-
-// One batch item, exact zgemm_view arithmetic minus the flop booking (the
-// batch entry point books every item on the calling thread — pool workers
-// park flops in thread-local tallies that drain too late for the windows
-// single-threaded callers measure with). The inner kernel is forced serial
-// so items running ON pool workers never re-enter the pool.
-void run_batch_item(const ZgemmBatchItem& it) {
-  scale_c(it.m, it.n, it.beta, it.c, it.ldc);
-  if (it.m != 0 && it.n != 0 && it.k != 0 && it.alpha != Complex{0.0, 0.0}) {
-    if (8 * it.m * it.n * it.k < kPackThresholdFlops)
-      gemm_naive_view(it.m, it.n, it.k, it.alpha, it.a, it.lda, it.b, it.ldb,
-                      it.c, it.ldc);
-    else
-      gemm_packed_view(it.m, it.n, it.k, it.alpha, it.a, it.lda, it.b,
-                       it.ldb, it.c, it.ldc, 1);
-  }
-}
-
 }  // namespace
-
-void zgemm_view_batch(const ZgemmBatchItem* items, std::size_t count) {
-  if (count == 0) return;
-  GemmBatchMetrics& metrics = gemm_batch_metrics();
-  metrics.dispatches.inc();
-  metrics.items.add(count);
-  metrics.occupancy.observe(static_cast<double>(count));
-
-  const std::size_t threads =
-      g_gemm_batch_threads.load(std::memory_order_relaxed);
-  const std::size_t n_chunks = std::min(threads, count);
-  if (n_chunks <= 1) {
-    for (std::size_t i = 0; i < count; ++i) run_batch_item(items[i]);
-  } else {
-    // Contiguous item chunks, one pool task each (never one task per item:
-    // the pool spawns a thread per task). Items never straddle chunks, so
-    // every C is written by exactly one thread with the serial arithmetic.
-    const std::size_t per_chunk = (count + n_chunks - 1) / n_chunks;
-    auto task = [&](std::size_t t) {
-      const std::size_t i0 = t * per_chunk;
-      const std::size_t i1 = std::min(count, i0 + per_chunk);
-      for (std::size_t i = i0; i < i1; ++i) run_batch_item(items[i]);
-    };
-    GemmPool::instance().run(n_chunks, task);
-  }
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const ZgemmBatchItem& it = items[i];
-    if (it.m != 0 && it.n != 0 && it.k != 0 && it.alpha != Complex{0.0, 0.0})
-      perf::add_flops(perf::Kernel::kZgemm,
-                      perf::cost::zgemm(it.m, it.n, it.k));
-  }
-}
-
-void set_zgemm_batch_threads(std::size_t n_threads) {
-  g_gemm_batch_threads.store(std::max<std::size_t>(1, n_threads),
-                             std::memory_order_relaxed);
-}
-
-std::size_t zgemm_batch_threads() {
-  return g_gemm_batch_threads.load(std::memory_order_relaxed);
-}
-
-void set_zgemm_threads(std::size_t n_threads) {
-  g_gemm_threads.store(std::max<std::size_t>(1, n_threads),
-                       std::memory_order_relaxed);
-}
-
-std::size_t zgemm_threads() {
-  return g_gemm_threads.load(std::memory_order_relaxed);
-}
 
 void zgemm_view(std::size_t m, std::size_t n, std::size_t k, Complex alpha,
                 const Complex* a, std::size_t lda, const Complex* b,
@@ -573,8 +308,7 @@ void zgemm_view(std::size_t m, std::size_t n, std::size_t k, Complex alpha,
     if (8 * m * n * k < kPackThresholdFlops)
       gemm_naive_view(m, n, k, alpha, a, lda, b, ldb, c, ldc);
     else
-      gemm_packed_view(m, n, k, alpha, a, lda, b, ldb, c, ldc,
-                       g_gemm_threads.load(std::memory_order_relaxed));
+      gemm_packed_view(m, n, k, alpha, a, lda, b, ldb, c, ldc);
     // Booked only when the multiply runs, so alpha == 0 quick returns do
     // not inflate the instrumented counter (or the GEMM fraction).
     perf::add_flops(perf::Kernel::kZgemm, perf::cost::zgemm(m, n, k));

@@ -49,41 +49,6 @@ inline constexpr std::size_t kLuBlockedThreshold = 64;
 int zgetrf_in_place(ZMatrix& a, std::vector<std::size_t>& pivots,
                     LuAlgorithm algorithm = LuAlgorithm::kAuto);
 
-/// Incremental driver of the blocked right-looking factorization: each
-/// step() factorizes the next pivot panel and applies the unit-lower TRSM
-/// to the row panel — exactly the per-panel work of the blocked
-/// zgetrf_in_place — and hands the trailing-update GEMM back to the caller
-/// as a batch-item descriptor (m == 0 at the final panel, where no
-/// trailing block remains). The caller must apply the returned update
-/// (directly via zgemm_view, or fused with other matrices' updates in one
-/// zgemm_view_batch) before calling step() again. The blocked
-/// zgetrf_in_place itself runs on this driver, so stepped and monolithic
-/// factorizations are the same arithmetic by construction — which is what
-/// lets the batched Schur solve (lsms) advance many same-order member
-/// eliminations in lock step bit-identically. Throws SingularMatrixError
-/// from step() on a zero pivot.
-class BlockedLuStepper {
- public:
-  /// Binds to `a` (square) and `pivots` (resized to the order); both must
-  /// outlive the stepper.
-  BlockedLuStepper(ZMatrix& a, std::vector<std::size_t>& pivots);
-
-  bool done() const { return k0_ >= n_; }
-
-  /// Advances one panel; returns the trailing-update descriptor.
-  ZgemmBatchItem step();
-
-  /// Pivot-swap parity of the panels factorized so far.
-  int parity() const { return parity_; }
-
- private:
-  ZMatrix* a_;
-  std::vector<std::size_t>* pivots_;
-  std::size_t n_;
-  std::size_t k0_ = 0;
-  int parity_ = 1;
-};
-
 /// Solves A X = B in place given the packed factors and pivots from
 /// zgetrf_in_place. `b` points to `nrhs` column-major columns with leading
 /// dimension `ldb` (>= order).

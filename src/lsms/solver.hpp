@@ -81,7 +81,8 @@ class LsmsSolver {
   double local_energy(std::size_t i,
                       const spin::MomentConfiguration& moments) const;
 
-  /// Total energy and the per-atom breakdown (atom loop is OpenMP-parallel).
+  /// Total energy and the per-atom breakdown (atom loop is OpenMP-parallel;
+  /// a zone solve's SingularMatrixError reaches the caller).
   LocalEnergies energies(const spin::MomentConfiguration& moments) const;
 
   /// Local band energies of the contiguous atom shard [first, first+count):
@@ -97,16 +98,13 @@ class LsmsSolver {
   /// Total energy only.
   double energy(const spin::MomentConfiguration& moments) const;
 
-  /// Energies of many independent configurations at once, with the
-  /// per-atom LIZ solves that share a (geometry, contour point) — i.e. one
-  /// SchurTemplates instance — coalesced into lock-step Schur eliminations
-  /// feeding zgemm_view_batch. This is the serving scheduler's cross-walker
-  /// batching path (DESIGN.md §12) and the traffic shape a batched
-  /// accelerator GEMM wants. Bit-identical per configuration to
-  /// energies(): every zone solve's arithmetic and the atom-order total
-  /// reduction are unchanged; only independent solves execute together.
-  /// Serial on the calling thread (no OpenMP) apart from the optional
-  /// zgemm_batch_threads pool spread.
+  /// Energies of many independent configurations at once: the serving
+  /// scheduler's cross-walker batch (DESIGN.md §12). One OpenMP loop runs
+  /// every (configuration, atom) zone solve through the same kernel as
+  /// energies(), and totals sum in atom order, so each result is
+  /// bit-identical to energies() of that configuration at any team size.
+  /// Throws the first zone solve's exception (e.g. SingularMatrixError)
+  /// after the loop; the caller retries configurations one at a time.
   std::vector<LocalEnergies> batch_energies(
       const std::vector<const spin::MomentConfiguration*>& configs) const;
 

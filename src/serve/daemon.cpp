@@ -17,7 +17,6 @@
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/serial.hpp"
-#include "linalg/blas.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
@@ -184,11 +183,6 @@ int Daemon::poll_timeout_ms() const {
 }
 
 void Daemon::run() {
-  // Pin the batch-GEMM worker count for the daemon's lifetime if asked.
-  const std::size_t saved_batch_threads = linalg::zgemm_batch_threads();
-  if (options_.gemm_batch_threads > 0)
-    linalg::set_zgemm_batch_threads(options_.gemm_batch_threads);
-
   bool stopping = false;
   std::vector<struct pollfd> pfds;
   while (!stopping) {
@@ -231,8 +225,6 @@ void Daemon::run() {
       sessions_[session].fd = -1;
   }
   while (!sessions_.empty()) close_session(sessions_.begin()->first);
-
-  linalg::set_zgemm_batch_threads(saved_batch_threads);
 }
 
 void Daemon::accept_pending() {

@@ -6,7 +6,7 @@
 /// reassembly, and a BatchScheduler over one shared LsmsSolver; independent
 /// clients (tenants) hand their walkers' configurations to the same solver
 /// and the scheduler coalesces concurrent requests into cross-walker
-/// batched ZGEMM dispatches (scheduler.hpp, DESIGN.md §12).
+/// batches solved by one OpenMP loop (scheduler.hpp, DESIGN.md §12).
 ///
 /// Fault containment mirrors the comm transports: a connection that sends
 /// garbage, violates the handshake, or goes quiet is closed — never allowed
@@ -62,9 +62,6 @@ struct ServeOptions {
   std::size_t client_sndbuf = 0;
   /// Called once the listener is bound, with the resolved "host:port".
   std::function<void(const std::string&)> on_listening;
-  /// When nonzero, run() pins linalg::set_zgemm_batch_threads to this for
-  /// the daemon's lifetime (0 = leave the process-wide setting alone).
-  std::size_t gemm_batch_threads = 0;
 };
 
 /// The serve daemon. Construct (binds + listens), then run() the poll loop;

@@ -179,9 +179,9 @@ void BatchScheduler::run_next_batch(std::vector<Completed>& out) {
     for (std::size_t i = 0; i < batch.size(); ++i)
       complete(batch[i], energies[i].total, false);
   } catch (const linalg::SingularMatrixError&) {
-    // One singular member matrix abandons the co-batched solves mid-flight;
-    // retry each request alone so only the truly singular ones fail —
-    // exactly what the singleton path would have produced.
+    // One singular zone solve fails the whole batch; retry each request
+    // alone so only the truly singular ones fail — exactly what the
+    // singleton path would have produced.
     metrics.batch_failures.inc();
     for (const Queued& queued : batch) {
       ++stats_.singleton_requests;

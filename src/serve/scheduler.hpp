@@ -6,15 +6,12 @@
 /// sessions, and the batched solve itself.
 ///
 /// Coalescing (DESIGN.md §12): every pending request is an independent
-/// walker configuration of the same structure, so their per-atom LIZ solves
-/// at a given contour point share the (geometry, contour-point)
-/// SchurTemplates. One batch of B requests becomes lock-step Schur
-/// eliminations whose trailing updates go out as B-wide zgemm_view_batch
-/// dispatches — the cross-walker GEMM batching the paper's traffic shape
-/// (M walkers, shared solver substrate) makes possible and a GPU backend
-/// wants. Under light load (a lone pending request) the scheduler falls
-/// back to a real SynchronousEnergyService, and because the batched path
-/// reorders work only between independent matrices, both paths return
+/// walker configuration of the same structure, so one batch of B requests
+/// is B x n_atoms independent zone solves. LsmsSolver::batch_energies runs
+/// them as one OpenMP loop (team size from OMP_NUM_THREADS) over the same
+/// per-zone kernel energies() uses. Under light load (a lone pending
+/// request) the scheduler falls back to a real SynchronousEnergyService;
+/// both paths sum the same zone energies in atom order, so they return
 /// bit-identical energies.
 
 #include <chrono>
