@@ -24,6 +24,7 @@
 // closed and never occupies a rank slot; the controller keeps accepting
 // until the group is complete or options.accept_timeout expires.
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -284,7 +285,17 @@ TcpCommunicator::TcpCommunicator(std::size_t n_ranks,
   if (options.on_listening) options.on_listening(bound_address);
 
   pids_.assign(n_ranks, -1);
+  // Ranks are numbered in accept order, and forked workers may connect in
+  // any order. Each one writes (rank, pid) to this pipe once welcomed, so
+  // pids_ can be put in rank order and kill(r) signals rank r's process.
+  Socket report_read, report_write;
   if (options.spawn_workers) {
+    int report[2];
+    if (::pipe2(report, O_CLOEXEC) != 0)
+      throw CommError(std::string("tcp: pipe failed: ") +
+                      std::strerror(errno));
+    report_read = Socket(report[0]);
+    report_write = Socket(report[1]);
     // Loopback workers, forked exactly like the kProcess transport (same
     // copy-on-write solver reuse, same _exit discipline) but connected
     // through the real listener so the full accept/handshake path runs.
@@ -298,9 +309,20 @@ TcpCommunicator::TcpCommunicator(std::size_t n_ranks,
                         std::strerror(errno));
       if (pid == 0) {
         listener.close();
+        report_read.close();
+        const int report_fd = report_write.get();
+        const WorkerMain reporting_main = [&](WorkerChannel& channel) {
+          // One 16-byte write: atomic on a pipe, so reports never interleave.
+          const std::uint64_t entry[2] = {
+              channel.rank(), static_cast<std::uint64_t>(::getpid())};
+          [[maybe_unused]] const ssize_t written =
+              ::write(report_fd, entry, sizeof(entry));
+          ::close(report_fd);
+          worker_main(channel);
+        };
         int status = 0;
         try {
-          (void)run_tcp_worker(connect_address, worker_main,
+          (void)run_tcp_worker(connect_address, reporting_main,
                                options.connect_timeout);
         } catch (...) {
           status = 1;
@@ -309,6 +331,7 @@ TcpCommunicator::TcpCommunicator(std::size_t n_ranks,
       }
       pids_[r] = pid;
     }
+    report_write.close();
   }
 
   // Accept until the group is complete. A connection that fails the
@@ -374,6 +397,28 @@ TcpCommunicator::TcpCommunicator(std::size_t n_ranks,
     throw CommError("tcp: only " + std::to_string(accepted) + " of " +
                     std::to_string(n_ranks) +
                     " workers joined within the accept timeout");
+  }
+  if (options.spawn_workers) {
+    // Every rank has been welcomed, so the reports are on their way; a
+    // worker that died first never writes, and its pid takes a free slot
+    // so shutdown still reaps it.
+    std::vector<pid_t> by_rank(n_ranks, -1);
+    for (std::size_t k = 0; k < n_ranks; ++k) {
+      std::uint64_t entry[2];
+      struct pollfd pfd{report_read.get(), POLLIN, 0};
+      if (::poll(&pfd, 1, static_cast<int>(kHandshakeTimeout.count())) <= 0 ||
+          ::read(report_read.get(), entry, sizeof(entry)) !=
+              static_cast<ssize_t>(sizeof(entry)))
+        break;
+      const auto pid = static_cast<pid_t>(entry[1]);
+      if (entry[0] < n_ranks && by_rank[entry[0]] < 0 &&
+          std::find(pids_.begin(), pids_.end(), pid) != pids_.end())
+        by_rank[entry[0]] = pid;
+    }
+    for (pid_t pid : pids_)
+      if (std::find(by_rank.begin(), by_rank.end(), pid) == by_rank.end())
+        *std::find(by_rank.begin(), by_rank.end(), pid_t{-1}) = pid;
+    pids_ = std::move(by_rank);
   }
   // Group membership is fixed at construction; stop accepting.
 }

@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstring>
+#include <future>
 #include <string>
 #include <thread>
 
@@ -112,20 +113,28 @@ TEST(TcpCommunicator, ExternalWorkersJoinAndGarbageConnectionsAreRejected) {
   // — the same code path `wlsms worker --connect` uses. Before the real
   // workers join, a garbage connection (wrong magic, no valid hello) must
   // be rejected WITHOUT consuming one of the two rank slots.
+  // The workers connect only after the garbage connection has: otherwise
+  // both can join first, the listener closes, and the garbage connect is
+  // refused.
   std::vector<std::thread> workers;
   std::thread nuisance;
+  std::promise<void> nuisance_connected;
+  const std::shared_future<void> nuisance_queued =
+      nuisance_connected.get_future().share();
   TcpOptions options;
   options.spawn_workers = false;
   options.on_listening = [&](const std::string& address) {
-    nuisance = std::thread([address] {
+    nuisance = std::thread([address, &nuisance_connected] {
       const int fd = raw_connect(address);
+      nuisance_connected.set_value();
       ASSERT_GE(fd, 0);
       const char junk[] = "GET / HTTP/1.1\r\n\r\n";
       (void)::send(fd, junk, sizeof(junk), MSG_NOSIGNAL);
       ::close(fd);
     });
     for (int k = 0; k < 2; ++k)
-      workers.emplace_back([address] {
+      workers.emplace_back([address, nuisance_queued] {
+        nuisance_queued.wait();
         (void)run_tcp_worker(address, echo_worker);
       });
   };

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/units.hpp"
 #include "lattice/shells.hpp"
@@ -51,6 +52,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, SupercellSizes, ::testing::Values(2, 3, 4, 5));
 
 struct LatticeCase {
   CubicLattice lattice;
+  // gtest prints a parameter without a printer as its raw bytes and ctest
+  // names the case after them, so the bytes that would be padding here are
+  // a zeroed member: otherwise they hold stack garbage and the case gets a
+  // new name on every test discovery.
+  std::uint32_t zero_padding = 0;
   std::size_t first_shell;
   double first_radius_over_a;
 };
@@ -68,11 +74,16 @@ TEST_P(CubicLattices, FirstShellGeometry) {
 
 INSTANTIATE_TEST_SUITE_P(
     Types, CubicLattices,
-    ::testing::Values(LatticeCase{CubicLattice::kSimpleCubic, 6, 1.0},
-                      LatticeCase{CubicLattice::kBcc, 8,
-                                  std::sqrt(3.0) / 2.0},
-                      LatticeCase{CubicLattice::kFcc, 12,
-                                  std::sqrt(2.0) / 2.0}));
+    ::testing::Values(LatticeCase{.lattice = CubicLattice::kSimpleCubic,
+                                  .first_shell = 6,
+                                  .first_radius_over_a = 1.0},
+                      LatticeCase{.lattice = CubicLattice::kBcc,
+                                  .first_shell = 8,
+                                  .first_radius_over_a = std::sqrt(3.0) / 2.0},
+                      LatticeCase{.lattice = CubicLattice::kFcc,
+                                  .first_shell = 12,
+                                  .first_radius_over_a =
+                                      std::sqrt(2.0) / 2.0}));
 
 TEST(LatticeSweep, ShellRadiiAreStrictlyIncreasing) {
   const Structure cell = make_fe_supercell(3);
