@@ -35,8 +35,11 @@
 ///    listener after a magic/version/rank handshake. Workers either run on
 ///    other nodes (`wlsms worker --connect host:port`) or, for loopback
 ///    tests and single-host use, are fork()ed locally and connect back to
-///    the listener. Same frames, heartbeats, and EOF-death detection as
-///    kProcess — both byte-stream transports share src/comm/framing.
+///    the listener; both ends use the shared socket layer
+///    (src/comm/socket). kill() SIGKILLs a local worker and closes an external one's
+///    connection. Past fd creation kProcess and kTcp are one
+///    StreamCommunicator (src/comm/framing): same frames, heartbeats,
+///    EOF-death detection, and kill/reap path.
 
 #include <chrono>
 #include <cstddef>

@@ -1,6 +1,7 @@
 #include "comm/framing.hpp"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 
 #include <poll.h>
@@ -248,20 +249,22 @@ std::optional<Message> StreamWorkerChannel::recv() {
 }
 
 // ---------------------------------------------------------------------------
-// StreamCommunicatorBase (controller side)
+// StreamCommunicator (controller side)
 
-void StreamCommunicatorBase::add_peer(int fd) {
-  Peer peer;
-  peer.fd = fd;
-  peers_.push_back(std::move(peer));
+StreamCommunicator::StreamCommunicator(StreamOptions options,
+                                       std::vector<int> fds,
+                                       std::vector<pid_t> pids)
+    : options_(options), peers_(fds.size()), pids_(std::move(pids)) {
+  WLSMS_EXPECTS(pids_.size() == fds.size());
+  for (std::size_t r = 0; r < fds.size(); ++r) peers_[r].fd = fds[r];
 }
 
-bool StreamCommunicatorBase::alive(std::size_t rank) const {
+bool StreamCommunicator::alive(std::size_t rank) const {
   WLSMS_EXPECTS(rank < peers_.size());
   return peers_[rank].alive;
 }
 
-bool StreamCommunicatorBase::send(std::size_t rank, const Message& message) {
+bool StreamCommunicator::send(std::size_t rank, const Message& message) {
   WLSMS_EXPECTS(rank < peers_.size());
   Peer& peer = peers_[rank];
   if (!peer.alive) return false;
@@ -295,7 +298,7 @@ bool StreamCommunicatorBase::send(std::size_t rank, const Message& message) {
   return true;
 }
 
-bool StreamCommunicatorBase::flush(std::size_t rank) {
+bool StreamCommunicator::flush(std::size_t rank) {
   Peer& peer = peers_[rank];
   if (!peer.alive) return false;
   if (peer.tx.empty()) return true;
@@ -313,12 +316,12 @@ bool StreamCommunicatorBase::flush(std::size_t rank) {
   return true;
 }
 
-void StreamCommunicatorBase::flush_all() {
+void StreamCommunicator::flush_all() {
   for (std::size_t r = 0; r < peers_.size(); ++r)
     if (peers_[r].alive && !peers_[r].tx.empty()) (void)flush(r);
 }
 
-void StreamCommunicatorBase::heartbeat_tick() {
+void StreamCommunicator::heartbeat_tick() {
   const StreamClock::time_point now = StreamClock::now();
   for (std::size_t r = 0; r < peers_.size(); ++r) {
     Peer& peer = peers_[r];
@@ -345,7 +348,7 @@ void StreamCommunicatorBase::heartbeat_tick() {
   }
 }
 
-void StreamCommunicatorBase::drain(std::size_t rank) {
+void StreamCommunicator::drain(std::size_t rank) {
   Peer& peer = peers_[rank];
   char chunk[65536];
   while (true) {
@@ -383,7 +386,7 @@ void StreamCommunicatorBase::drain(std::size_t rank) {
   }
 }
 
-std::optional<Incoming> StreamCommunicatorBase::recv(
+std::optional<Incoming> StreamCommunicator::recv(
     std::chrono::milliseconds timeout) {
   const StreamClock::time_point deadline = StreamClock::now() + timeout;
   while (true) {
@@ -427,7 +430,7 @@ std::optional<Incoming> StreamCommunicatorBase::recv(
   }
 }
 
-void StreamCommunicatorBase::observe_clock_echo(
+void StreamCommunicator::observe_clock_echo(
     std::size_t rank, const std::vector<std::byte>& payload) {
   const std::uint64_t t0 = get_u64_le(payload.data());
   const std::uint64_t t1 = get_u64_le(payload.data() + 8);
@@ -444,7 +447,7 @@ void StreamCommunicatorBase::observe_clock_echo(
       .set(offset_us);
 }
 
-std::uint64_t StreamCommunicatorBase::millis_since_heard(
+std::uint64_t StreamCommunicator::millis_since_heard(
     std::size_t rank) const {
   WLSMS_EXPECTS(rank < peers_.size());
   if (!peers_[rank].alive) return ~std::uint64_t{0};
@@ -454,7 +457,7 @@ std::uint64_t StreamCommunicatorBase::millis_since_heard(
           .count());
 }
 
-void StreamCommunicatorBase::mark_dead(std::size_t rank) {
+void StreamCommunicator::mark_dead(std::size_t rank) {
   Peer& peer = peers_[rank];
   if (!peer.alive) return;
   peer.alive = false;
@@ -466,14 +469,54 @@ void StreamCommunicatorBase::mark_dead(std::size_t rank) {
     ::close(peer.fd);
     peer.fd = -1;
   }
-  on_peer_dead(rank);
 }
 
-void StreamCommunicatorBase::close_all_peers() {
+void StreamCommunicator::kill(std::size_t rank) {
+  WLSMS_EXPECTS(rank < peers_.size());
+  if (alive(rank))
+    log_debug("comm: kill rank ", rank, " (pid ", pids_[rank],
+              pids_[rank] >= 0 ? ", SIGKILL)" : ", closing connection)");
+  if (pids_[rank] >= 0) {
+    ::kill(pids_[rank], SIGKILL);
+    (void)::waitpid(pids_[rank], nullptr, 0);
+    pids_[rank] = -1;
+  }
+  mark_dead(rank);
+}
+
+void StreamCommunicator::shutdown() {
+  if (shut_down_) return;
+  shut_down_ = true;
   for (std::size_t r = 0; r < peers_.size(); ++r) mark_dead(r);
+  reap_children(pids_, options_.shutdown_grace);
 }
 
 // ---------------------------------------------------------------------------
+// Spawning and reaping worker processes
+
+pid_t fork_worker(const std::function<void()>& child_body) {
+  std::fflush(nullptr);
+  const pid_t pid = ::fork();
+  if (pid < 0)
+    throw CommError(std::string("fork failed: ") + std::strerror(errno));
+  if (pid > 0) return pid;
+  int status = 0;
+  try {
+    child_body();
+  } catch (...) {
+    status = 1;
+  }
+  ::_exit(status);
+}
+
+void abandon_ranks(std::vector<int>& fds, std::vector<pid_t>& pids) {
+  for (int& fd : fds)
+    if (fd >= 0) {
+      ::close(fd);
+      fd = -1;
+    }
+  reap_children(pids, std::chrono::milliseconds{100});
+}
 
 void reap_children(std::vector<pid_t>& pids, std::chrono::milliseconds grace) {
   const StreamClock::time_point deadline = StreamClock::now() + grace;

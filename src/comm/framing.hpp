@@ -3,10 +3,10 @@
 /// \file framing.hpp
 /// The byte-stream substrate shared by the socketpair (kProcess) and TCP
 /// (kTcp) transports: one frame codec, one bounded writer, one frame
-/// reassembler, one worker-side channel, and one controller-side base class
-/// — so the two transports differ only in how their file descriptors come
-/// to exist (fork+socketpair vs listen+accept+handshake) and how ranks are
-/// reaped.
+/// reassembler, one worker-side channel, one controller-side communicator,
+/// and one fork/kill/reap path — so the two transports differ only in how
+/// their file descriptors come to exist (fork+socketpair vs
+/// listen+accept+handshake, comm/socket).
 ///
 /// Frame layout on the wire: [u32 length][u32 tag][payload], little-endian,
 /// where `length` covers tag + payload. Hardening rules, enforced here for
@@ -29,8 +29,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 #include <vector>
+
+#include <sys/types.h>
 
 #include "comm/communicator.hpp"
 
@@ -113,23 +116,32 @@ class StreamWorkerChannel final : public WorkerChannel {
   std::size_t rank_;
 };
 
-/// Controller-side common machinery of the byte-stream transports: per-rank
-/// liveness, frame reassembly, coalesced sends, heartbeat bookkeeping, and
-/// the recv/poll loop. Derived classes create the fds (fork+socketpair or
-/// listen+accept) and implement kill()/shutdown() (how a rank is terminated
-/// and reaped is the one genuinely transport-specific piece).
-class StreamCommunicatorBase : public Communicator {
+/// The controller side of both byte-stream transports: per-rank liveness,
+/// frame reassembly, coalesced sends, heartbeat bookkeeping, the recv/poll
+/// loop, and the one kill/reap path. The transports differ only in how the
+/// fds (and the pids of locally forked workers) come to exist; their
+/// factories hand both over here, in rank order.
+class StreamCommunicator final : public Communicator {
  public:
+  /// Takes ownership of `fds` (one connected peer per rank) and of the
+  /// children in `pids` (rank r's local worker, or -1 for an external one).
+  StreamCommunicator(StreamOptions options, std::vector<int> fds,
+                     std::vector<pid_t> pids);
+  ~StreamCommunicator() override { shutdown(); }
+
   std::size_t n_ranks() const override { return peers_.size(); }
   bool alive(std::size_t rank) const override;
   bool send(std::size_t rank, const Message& message) override;
   std::optional<Incoming> recv(std::chrono::milliseconds timeout) override;
   std::uint64_t millis_since_heard(std::size_t rank) const override;
+  /// SIGKILLs and reaps rank's local worker, if any, then closes its fd (an
+  /// external worker sees EOF and exits on its own).
+  void kill(std::size_t rank) override;
+  /// Closing every fd gives every worker EOF at once; they share ONE grace
+  /// period to finish a task in flight (reap_children).
+  void shutdown() override;
 
- protected:
-  explicit StreamCommunicatorBase(StreamOptions options)
-      : options_(options) {}
-
+ private:
   struct Peer {
     int fd = -1;
     bool alive = true;
@@ -145,15 +157,8 @@ class StreamCommunicatorBase : public Communicator {
     StreamClock::time_point last_probe{};
   };
 
-  /// Registers a connected peer fd as the next rank. Construction-time only.
-  void add_peer(int fd);
-
-  /// Flips liveness off and closes the fd. Idempotent. Calls on_peer_dead
-  /// exactly once per rank.
+  /// Flips liveness off and closes the fd. Idempotent.
   void mark_dead(std::size_t rank);
-
-  /// Transport hook, fired from mark_dead (first time only).
-  virtual void on_peer_dead(std::size_t /*rank*/) {}
 
   /// Drains readable bytes of `rank` and extracts complete frames into
   /// pending_ (heartbeats only refresh last_heard). A corrupt frame or EOF
@@ -172,14 +177,6 @@ class StreamCommunicatorBase : public Communicator {
   void observe_clock_echo(std::size_t rank,
                           const std::vector<std::byte>& payload);
 
-  /// Marks every rank dead (closing every fd); the shutdown() preamble.
-  void close_all_peers();
-
-  const StreamOptions& stream_options() const { return options_; }
-  bool shutting_down() const { return shut_down_; }
-  void begin_shutdown() { shut_down_ = true; }
-
- private:
   /// Corks an idle heartbeat for every alive rank not written to within
   /// kHeartbeatInterval, so workers on a real network can tell a quiet
   /// controller from a dead one.
@@ -187,9 +184,22 @@ class StreamCommunicatorBase : public Communicator {
 
   StreamOptions options_;
   std::vector<Peer> peers_;
+  std::vector<pid_t> pids_;  ///< -1 once reaped, or for external workers
   std::deque<Incoming> pending_;
   bool shut_down_ = false;
 };
+
+/// Forks a worker process: flushes stdio first (unflushed buffers would be
+/// duplicated into the child), runs `child_body` in the child, and leaves
+/// through _exit — status 1 if the body throws — so no parent-side atexit
+/// handler or static destructor runs twice. Returns the child's pid in the
+/// parent; throws CommError if fork fails.
+pid_t fork_worker(const std::function<void()>& child_body);
+
+/// Undoes a stream factory that failed part-way: closes the fds made so far
+/// (children see EOF or a refused connection and exit), then reaps the
+/// children already forked under a short grace before SIGKILL.
+void abandon_ranks(std::vector<int>& fds, std::vector<pid_t>& pids);
 
 /// Reaps forked children with ONE shared grace period: polls every pid in
 /// `pids` (entries < 0 are already reaped and skipped) with WNOHANG until

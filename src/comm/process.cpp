@@ -1,8 +1,9 @@
 // Multi-process Communicator: each rank is a fork()ed child of the
 // controller process, connected by a SOCK_STREAM UNIX-domain socketpair.
-// Frame codec, coalesced controller writes, bounded send deadlines, and
-// the poll/drain loop all live in comm/framing; this file owns what is
-// genuinely process-shaped — fork discipline, SIGKILL, and reaping.
+// Everything past fd creation — frame codec, coalesced controller writes,
+// bounded send deadlines, the poll/drain loop, SIGKILL and reaping — is the
+// shared StreamCommunicator (comm/framing); this file only makes the
+// socketpairs and forks the children.
 //
 // Liveness is real here: a SIGKILLed or crashed child closes its socket,
 // the controller's poll() sees EOF, and alive() flips — the hard-death
@@ -16,111 +17,15 @@
 // via _exit so no parent-side atexit/static destructors run twice.
 
 #include <cerrno>
-#include <csignal>
-#include <cstdio>
 #include <cstring>
 
 #include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "comm/framing.hpp"
 #include "common/error.hpp"
-#include "common/logging.hpp"
 
 namespace wlsms::comm {
-
-namespace {
-
-class ProcessCommunicator final : public StreamCommunicatorBase {
- public:
-  ProcessCommunicator(std::size_t n_ranks, const WorkerMain& worker_main,
-                      const StreamOptions& options);
-  ~ProcessCommunicator() override { shutdown(); }
-
-  void kill(std::size_t rank) override;
-  void shutdown() override;
-
- private:
-  std::vector<pid_t> pids_;  ///< -1 once reaped
-};
-
-ProcessCommunicator::ProcessCommunicator(std::size_t n_ranks,
-                                         const WorkerMain& worker_main,
-                                         const StreamOptions& options)
-    : StreamCommunicatorBase(options) {
-  WLSMS_EXPECTS(n_ranks >= 1);
-  WLSMS_EXPECTS(worker_main != nullptr);
-
-  // All socketpairs exist before the first fork, so every child can close
-  // every descriptor that is not its own.
-  std::vector<int> parent_fd(n_ranks, -1), child_fd(n_ranks, -1);
-  for (std::size_t r = 0; r < n_ranks; ++r) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-      throw CommError(std::string("socketpair failed: ") +
-                      std::strerror(errno));
-    parent_fd[r] = fds[0];
-    child_fd[r] = fds[1];
-  }
-
-  // Unflushed stdio would be duplicated into every child.
-  std::fflush(nullptr);
-
-  pids_.assign(n_ranks, -1);
-  for (std::size_t r = 0; r < n_ranks; ++r) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      for (int fd : parent_fd) ::close(fd);
-      for (int fd : child_fd) ::close(fd);
-      throw CommError(std::string("fork failed: ") + std::strerror(errno));
-    }
-    if (pid == 0) {
-      // Child: keep only our own endpoint, run the worker, leave quietly.
-      for (std::size_t k = 0; k < n_ranks; ++k) {
-        if (k != r) ::close(child_fd[k]);
-        ::close(parent_fd[k]);
-      }
-      int status = 0;
-      try {
-        StreamWorkerChannel channel(child_fd[r], r);
-        worker_main(channel);
-      } catch (...) {
-        status = 1;
-      }
-      ::close(child_fd[r]);
-      ::_exit(status);
-    }
-    add_peer(parent_fd[r]);
-    pids_[r] = pid;
-  }
-  for (int fd : child_fd) ::close(fd);
-}
-
-void ProcessCommunicator::kill(std::size_t rank) {
-  WLSMS_EXPECTS(rank < n_ranks());
-  if (alive(rank))
-    log_debug("comm: SIGKILL process rank ", rank, " (pid ", pids_[rank], ")");
-  if (pids_[rank] >= 0) {
-    ::kill(pids_[rank], SIGKILL);
-    (void)::waitpid(pids_[rank], nullptr, 0);
-    pids_[rank] = -1;
-  }
-  mark_dead(rank);
-}
-
-void ProcessCommunicator::shutdown() {
-  if (shutting_down()) return;
-  begin_shutdown();
-  // Closing our ends gives every child EOF at once; they share ONE grace
-  // period to finish a task in flight, then stragglers are SIGKILLed
-  // together — teardown is O(grace), not O(ranks * grace).
-  close_all_peers();
-  reap_children(pids_, stream_options().shutdown_grace);
-}
-
-}  // namespace
 
 std::unique_ptr<Communicator> make_process_communicator(
     std::size_t n_ranks, WorkerMain worker_main) {
@@ -131,7 +36,43 @@ std::unique_ptr<Communicator> make_process_communicator(
 std::unique_ptr<Communicator> make_process_communicator(
     std::size_t n_ranks, WorkerMain worker_main,
     const StreamOptions& options) {
-  return std::make_unique<ProcessCommunicator>(n_ranks, worker_main, options);
+  WLSMS_EXPECTS(n_ranks >= 1);
+  WLSMS_EXPECTS(worker_main != nullptr);
+
+  // All socketpairs exist before the first fork, so every child can close
+  // every descriptor that is not its own.
+  std::vector<int> parent_fd, child_fd;
+  std::vector<pid_t> pids;
+  parent_fd.reserve(n_ranks);
+  child_fd.reserve(n_ranks);
+  pids.reserve(n_ranks);
+  try {
+    for (std::size_t r = 0; r < n_ranks; ++r) {
+      int fds[2];
+      if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
+        throw CommError(std::string("socketpair failed: ") +
+                        std::strerror(errno));
+      parent_fd.push_back(fds[0]);
+      child_fd.push_back(fds[1]);
+    }
+    for (std::size_t r = 0; r < n_ranks; ++r)
+      pids.push_back(fork_worker([&] {
+        // Keep only our own endpoint, then run the worker.
+        for (std::size_t k = 0; k < n_ranks; ++k) {
+          if (k != r) ::close(child_fd[k]);
+          ::close(parent_fd[k]);
+        }
+        StreamWorkerChannel channel(child_fd[r], r);
+        worker_main(channel);
+      }));
+  } catch (...) {
+    for (int fd : child_fd) ::close(fd);
+    abandon_ranks(parent_fd, pids);
+    throw;
+  }
+  for (int fd : child_fd) ::close(fd);
+  return std::make_unique<StreamCommunicator>(options, std::move(parent_fd),
+                                              std::move(pids));
 }
 
 }  // namespace wlsms::comm

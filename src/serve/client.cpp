@@ -8,71 +8,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "comm/socket.hpp"
 #include "common/error.hpp"
 #include "common/serial.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
-#include "serve/socket_util.hpp"
 
 namespace wlsms::serve {
 
-namespace {
-
-/// Reads exactly one frame — header, then that frame's payload, and not a
-/// byte more — within `deadline`. The greedy alternative (buffer whatever
-/// is readable) would swallow frames the daemon queued right behind the
-/// welcome (replayed results, say). Throws CommError on EOF, timeout, or a
-/// corrupt length.
-comm::Message read_one_frame_exact(int fd,
-                                   comm::StreamClock::time_point deadline) {
-  const auto read_exact = [&](void* out, std::size_t n) {
-    std::byte* at = static_cast<std::byte*>(out);
-    std::size_t done = 0;
-    while (done < n) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - comm::StreamClock::now());
-      if (remaining.count() <= 0)
-        throw comm::CommError("serve client: handshake timed out");
-      struct pollfd pfd{fd, POLLIN, 0};
-      const int ready =
-          ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-      if (ready < 0 && errno == EINTR) continue;
-      if (ready <= 0)
-        throw comm::CommError("serve client: handshake timed out");
-      const ssize_t got = ::read(fd, at + done, n - done);
-      if (got == 0)
-        throw comm::CommError("serve client: daemon closed the connection");
-      if (got < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-          continue;
-        throw comm::CommError(std::string("serve client: read failed: ") +
-                              std::strerror(errno));
-      }
-      done += static_cast<std::size_t>(got);
-    }
-  };
-
-  std::uint32_t header[2] = {0, 0};
-  read_exact(header, sizeof(header));
-  const std::uint32_t length = header[0];
-  if (length < 4 || length > comm::kMaxFrameBytes)
-    throw comm::CommError("serve client: corrupt frame length in handshake");
-  comm::Message message;
-  message.tag = header[1];
-  message.payload.resize(length - 4);
-  if (!message.payload.empty())
-    read_exact(message.payload.data(), message.payload.size());
-  return message;
-}
-
-}  // namespace
-
 ServeClient::ServeClient(const std::string& address, ClientOptions options)
     : options_(std::move(options)) {
-  net::Socket sock =
-      net::connect_with_timeout(address, options_.connect_timeout);
+  comm::Socket sock =
+      comm::connect_with_timeout(address, options_.connect_timeout);
 
   ServeHello hello;
   hello.tenant = options_.tenant;
@@ -88,9 +36,11 @@ ServeClient::ServeClient(const std::string& address, ClientOptions options)
   if (!comm::write_all(sock.get(), bytes.data(), bytes.size(), deadline))
     throw comm::CommError("serve client: hello write failed");
 
-  comm::Message reply = read_one_frame_exact(sock.get(), deadline);
+  // Exactly one frame at a time: the daemon may queue frames (replayed
+  // results, say) right behind the welcome, and those belong to retrieve().
+  comm::Message reply = comm::read_one_frame(sock.get(), deadline);
   while (reply.tag == comm::kTagHeartbeat)
-    reply = read_one_frame_exact(sock.get(), deadline);
+    reply = comm::read_one_frame(sock.get(), deadline);
   const std::uint64_t t3_us = obs::trace_now_us();  // welcome receipt time
   if (reply.tag == kTagServeReject)
     throw comm::CommError("serve client: handshake rejected by daemon");

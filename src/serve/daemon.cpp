@@ -9,18 +9,18 @@
 #include <utility>
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "comm/framing.hpp"
+#include "comm/socket.hpp"
 #include "common/error.hpp"
 #include "common/logging.hpp"
 #include "common/serial.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
-#include "serve/socket_util.hpp"
 
 namespace wlsms::serve {
 
@@ -49,11 +49,6 @@ void observe_stage(const std::string& stage, const std::string& tenant_label,
       .histogram("serve.tenant." + tenant_label + ".stage_ms." + stage,
                  stage_bounds())
       .observe(ms);
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 ServeReject::Reason reject_reason(BatchScheduler::Admission admission) {
@@ -91,8 +86,8 @@ Daemon::Daemon(std::shared_ptr<const lsms::LsmsSolver> solver,
     : solver_(std::move(solver)),
       options_(std::move(options)),
       scheduler_(solver_, options_.limits) {
-  net::Socket listener = net::make_listener(options_.listen, 32, address_);
-  set_nonblocking(listener.get());
+  comm::Socket listener = comm::make_listener(options_.listen, 32, address_);
+  comm::set_nonblocking(listener.get());
   listener_ = listener.release();
 
   int pipe_fds[2] = {-1, -1};
@@ -104,9 +99,9 @@ Daemon::Daemon(std::shared_ptr<const lsms::LsmsSolver> solver,
   }
   stop_read_ = pipe_fds[0];
   stop_write_ = pipe_fds[1];
-  set_nonblocking(stop_read_);
-  net::set_cloexec(stop_read_);
-  net::set_cloexec(stop_write_);
+  comm::set_nonblocking(stop_read_);
+  comm::set_cloexec(stop_read_);
+  comm::set_cloexec(stop_write_);
 
   token_state_ = (static_cast<std::uint64_t>(std::random_device{}()) << 32) ^
                  std::random_device{}();
@@ -231,9 +226,9 @@ void Daemon::accept_pending() {
   while (true) {
     const int fd = ::accept(listener_, nullptr, nullptr);
     if (fd < 0) return;  // EAGAIN, or a transient accept error: try later
-    net::set_nodelay(fd);
-    net::set_cloexec(fd);
-    set_nonblocking(fd);
+    comm::set_nodelay(fd);
+    comm::set_cloexec(fd);
+    comm::set_nonblocking(fd);
     if (options_.client_sndbuf > 0) {
       const int bytes = static_cast<int>(options_.client_sndbuf);
       (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes));

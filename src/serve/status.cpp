@@ -6,75 +6,34 @@
 #include <vector>
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "comm/framing.hpp"
+#include "comm/socket.hpp"
 #include "common/error.hpp"
 #include "common/serial.hpp"
 #include "obs/prometheus.hpp"
 #include "serve/protocol.hpp"
-#include "serve/socket_util.hpp"
 
 namespace wlsms::serve {
 
 namespace {
-
-/// Reads exactly one frame within `deadline`; throws CommError on EOF,
-/// timeout, or a corrupt length field.
-comm::Message read_one_frame(int fd, comm::StreamClock::time_point deadline) {
-  const auto read_exact = [&](void* out, std::size_t n) {
-    std::byte* at = static_cast<std::byte*>(out);
-    std::size_t done = 0;
-    while (done < n) {
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - comm::StreamClock::now());
-      if (remaining.count() <= 0)
-        throw comm::CommError("status: read timed out");
-      struct pollfd pfd{fd, POLLIN, 0};
-      const int ready = ::poll(&pfd, 1, static_cast<int>(remaining.count()));
-      if (ready < 0 && errno == EINTR) continue;
-      if (ready <= 0) throw comm::CommError("status: read timed out");
-      const ssize_t got = ::read(fd, at + done, n - done);
-      if (got == 0)
-        throw comm::CommError("status: peer closed the connection");
-      if (got < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)
-          continue;
-        throw comm::CommError(std::string("status: read failed: ") +
-                              std::strerror(errno));
-      }
-      done += static_cast<std::size_t>(got);
-    }
-  };
-
-  std::uint32_t header[2] = {0, 0};
-  read_exact(header, sizeof(header));
-  const std::uint32_t length = header[0];
-  if (length < 4 || length > comm::kMaxFrameBytes)
-    throw comm::CommError("status: corrupt frame length");
-  comm::Message message;
-  message.tag = header[1];
-  message.payload.resize(length - 4);
-  if (!message.payload.empty())
-    read_exact(message.payload.data(), message.payload.size());
-  return message;
-}
 
 constexpr std::chrono::milliseconds kConnectionWindow{2000};
 
 }  // namespace
 
 StatusServer::StatusServer(const std::string& listen) {
-  net::Socket listener = net::make_listener(listen, 8, address_);
+  comm::Socket listener = comm::make_listener(listen, 8, address_);
   int pipe_fds[2] = {-1, -1};
   if (::pipe(pipe_fds) != 0)
     throw comm::CommError(std::string("status: self-pipe failed: ") +
                           std::strerror(errno));
   stop_read_ = pipe_fds[0];
   stop_write_ = pipe_fds[1];
-  net::set_cloexec(stop_read_);
-  net::set_cloexec(stop_write_);
+  comm::set_cloexec(stop_read_);
+  comm::set_cloexec(stop_write_);
   listener_ = listener.release();
   thread_ = std::thread([this] { serve_loop(); });
 }
@@ -96,16 +55,17 @@ void StatusServer::serve_loop() {
     if (rc < 0) return;
     if (pfds[0].revents & POLLIN) return;  // destructor asked us to stop
     if (!(pfds[1].revents & POLLIN)) continue;
-    net::Socket conn(::accept(listener_, nullptr, nullptr));
+    comm::Socket conn(::accept(listener_, nullptr, nullptr));
     if (conn.get() < 0) continue;
-    net::set_nodelay(conn.get());
-    net::set_cloexec(conn.get());
+    comm::set_nodelay(conn.get());
+    comm::set_cloexec(conn.get());
     // One bounded request/reply per connection; a bad or slow client costs
     // at most the connection window, and can neither crash the loop nor
     // hold it open.
     try {
       const auto deadline = comm::StreamClock::now() + kConnectionWindow;
-      const comm::Message request = read_one_frame(conn.get(), deadline);
+      const comm::Message request =
+          comm::read_one_frame(conn.get(), deadline);
       if (request.tag != kTagServeStatus) continue;
       decode_status_request(request.payload);
       comm::Message reply;
@@ -121,7 +81,7 @@ void StatusServer::serve_loop() {
 
 std::string fetch_status(const std::string& address,
                          std::chrono::milliseconds timeout) {
-  net::Socket sock = net::connect_with_timeout(address, timeout);
+  comm::Socket sock = comm::connect_with_timeout(address, timeout);
   const auto deadline = comm::StreamClock::now() + timeout;
   comm::Message request;
   request.tag = kTagServeStatus;
@@ -129,9 +89,9 @@ std::string fetch_status(const std::string& address,
   const std::vector<std::byte> bytes = comm::frame_bytes(request);
   if (!comm::write_all(sock.get(), bytes.data(), bytes.size(), deadline))
     throw comm::CommError("status: request write failed");
-  comm::Message reply = read_one_frame(sock.get(), deadline);
+  comm::Message reply = comm::read_one_frame(sock.get(), deadline);
   while (reply.tag == comm::kTagHeartbeat)
-    reply = read_one_frame(sock.get(), deadline);
+    reply = comm::read_one_frame(sock.get(), deadline);
   if (reply.tag != kTagServeStatusReply)
     throw comm::CommError("status: unexpected reply tag " +
                           std::to_string(reply.tag));

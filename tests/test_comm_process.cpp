@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -39,6 +40,56 @@ Message text_message(std::uint32_t tag, const std::string& text) {
   if (!text.empty())
     std::memcpy(message.payload.data(), text.data(), text.size());
   return message;
+}
+
+/// Worker that answers every request with its own pid, so a test can map
+/// ranks to OS processes.
+void pid_echo_worker(WorkerChannel& channel) {
+  while (std::optional<Message> message = channel.recv()) {
+    const std::uint64_t pid = static_cast<std::uint64_t>(::getpid());
+    Message reply{message->tag, std::vector<std::byte>(sizeof(pid))};
+    std::memcpy(reply.payload.data(), &pid, sizeof(pid));
+    channel.send(reply);
+  }
+}
+
+/// Asks `rank` for its pid; -1 if it does not answer within 5 s.
+pid_t rank_pid(Communicator& comm, std::size_t rank) {
+  if (!comm.send(rank, Message{static_cast<std::uint32_t>(rank), {}}))
+    return -1;
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (std::chrono::steady_clock::now() < deadline) {
+    const std::optional<Incoming> incoming = comm.recv(100ms);
+    if (!incoming || incoming->rank != rank) continue;
+    std::uint64_t pid = 0;
+    if (incoming->message.payload.size() != sizeof(pid)) return -1;
+    std::memcpy(&pid, incoming->message.payload.data(), sizeof(pid));
+    return static_cast<pid_t>(pid);
+  }
+  return -1;
+}
+
+/// kill(r) must end rank r's process and nothing else: every rank not yet
+/// killed keeps its process and still answers.
+void expect_kill_ends_exactly_that_rank(Communicator& comm) {
+  std::vector<pid_t> pids;
+  for (std::size_t r = 0; r < comm.n_ranks(); ++r) {
+    pids.push_back(rank_pid(comm, r));
+    ASSERT_GT(pids.back(), 0) << "rank " << r << " never reported its pid";
+  }
+  for (std::size_t r = 0; r < comm.n_ranks(); ++r) {
+    comm.kill(r);
+    const int rc = ::kill(pids[r], 0);
+    const int error = errno;
+    EXPECT_EQ(rc, -1) << "rank " << r << " survived kill";
+    EXPECT_EQ(error, ESRCH) << "rank " << r;
+    for (std::size_t other = r + 1; other < comm.n_ranks(); ++other) {
+      EXPECT_EQ(::kill(pids[other], 0), 0)
+          << "kill(" << r << ") ended rank " << other << "'s process";
+      EXPECT_TRUE(comm.alive(other));
+      EXPECT_EQ(rank_pid(comm, other), pids[other]) << "rank " << other;
+    }
+  }
 }
 
 TEST(ProcessCommunicator, EchoAcrossRealProcesses) {
@@ -96,6 +147,11 @@ TEST(ProcessCommunicator, SigkillIsImmediateEofDeath) {
   std::optional<Incoming> incoming;
   while (!incoming) incoming = comm->recv(500ms);
   EXPECT_EQ(incoming->rank, 1u);
+}
+
+TEST(ProcessCommunicator, KillEndsExactlyThatRanksProcess) {
+  auto comm = make_process_communicator(4, pid_echo_worker);
+  expect_kill_ends_exactly_that_rank(*comm);
 }
 
 TEST(ProcessCommunicator, CrashingWorkerIsRankDeath) {

@@ -11,19 +11,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <future>
 #include <string>
 #include <thread>
 
-#include <netdb.h>
-#include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "comm/distributed_service.hpp"
 #include "comm/framing.hpp"
+#include "comm/socket.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
 #include "lattice/structure.hpp"
@@ -50,28 +52,64 @@ void echo_worker(WorkerChannel& channel) {
     channel.send(*message);
 }
 
-/// Blocking client connect to 127.0.0.1:<port of "host:port" address>, for
-/// tests that speak the protocol (or deliberately don't) by hand.
-int raw_connect(const std::string& address) {
-  const std::size_t colon = address.rfind(':');
-  struct addrinfo hints{};
-  hints.ai_family = AF_INET;
-  hints.ai_socktype = SOCK_STREAM;
-  hints.ai_flags = AI_NUMERICSERV;
-  struct addrinfo* resolved = nullptr;
-  if (::getaddrinfo(address.substr(0, colon).c_str(),
-                    address.substr(colon + 1).c_str(), &hints,
-                    &resolved) != 0)
+/// Worker that answers every request with its own pid, so a test can map
+/// ranks to OS processes.
+void pid_echo_worker(WorkerChannel& channel) {
+  while (std::optional<Message> message = channel.recv()) {
+    const std::uint64_t pid = static_cast<std::uint64_t>(::getpid());
+    Message reply{message->tag, std::vector<std::byte>(sizeof(pid))};
+    std::memcpy(reply.payload.data(), &pid, sizeof(pid));
+    channel.send(reply);
+  }
+}
+
+/// Asks `rank` for its pid; -1 if it does not answer within 5 s.
+pid_t rank_pid(Communicator& comm, std::size_t rank) {
+  if (!comm.send(rank, Message{static_cast<std::uint32_t>(rank), {}}))
     return -1;
-  const int fd = ::socket(resolved->ai_family, resolved->ai_socktype, 0);
-  const int rc =
-      fd >= 0 ? ::connect(fd, resolved->ai_addr, resolved->ai_addrlen) : -1;
-  ::freeaddrinfo(resolved);
-  if (rc != 0) {
-    if (fd >= 0) ::close(fd);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (std::chrono::steady_clock::now() < deadline) {
+    const std::optional<Incoming> incoming = comm.recv(100ms);
+    if (!incoming || incoming->rank != rank) continue;
+    std::uint64_t pid = 0;
+    if (incoming->message.payload.size() != sizeof(pid)) return -1;
+    std::memcpy(&pid, incoming->message.payload.data(), sizeof(pid));
+    return static_cast<pid_t>(pid);
+  }
+  return -1;
+}
+
+/// kill(r) must end rank r's process and nothing else: every rank not yet
+/// killed keeps its process and still answers.
+void expect_kill_ends_exactly_that_rank(Communicator& comm) {
+  std::vector<pid_t> pids;
+  for (std::size_t r = 0; r < comm.n_ranks(); ++r) {
+    pids.push_back(rank_pid(comm, r));
+    ASSERT_GT(pids.back(), 0) << "rank " << r << " never reported its pid";
+  }
+  for (std::size_t r = 0; r < comm.n_ranks(); ++r) {
+    comm.kill(r);
+    const int rc = ::kill(pids[r], 0);
+    const int error = errno;
+    EXPECT_EQ(rc, -1) << "rank " << r << " survived kill";
+    EXPECT_EQ(error, ESRCH) << "rank " << r;
+    for (std::size_t other = r + 1; other < comm.n_ranks(); ++other) {
+      EXPECT_EQ(::kill(pids[other], 0), 0)
+          << "kill(" << r << ") ended rank " << other << "'s process";
+      EXPECT_TRUE(comm.alive(other));
+      EXPECT_EQ(rank_pid(comm, other), pids[other]) << "rank " << other;
+    }
+  }
+}
+
+/// Client connect for tests that speak the protocol (or deliberately
+/// don't) by hand; -1 on failure.
+int raw_connect(const std::string& address) {
+  try {
+    return connect_with_timeout(address, 2s).release();
+  } catch (const CommError&) {
     return -1;
   }
-  return fd;
 }
 
 TEST(TcpCommunicator, EchoAcrossForkedLoopbackWorkers) {
@@ -202,6 +240,52 @@ TEST(TcpCommunicator, CorruptFrameAfterHandshakeIsRankDeathNotCrash) {
   comm->shutdown();
   rogue.join();
   for (std::thread& w : workers) w.join();
+}
+
+TEST(TcpCommunicator, KillEndsExactlyThatRanksProcess) {
+  auto comm = make_tcp_communicator(4, pid_echo_worker, TcpOptions{});
+  expect_kill_ends_exactly_that_rank(*comm);
+}
+
+TEST(TcpCommunicator, IncompleteGroupReapsItsForkedWorkers) {
+  // A zero accept window fails group formation after both workers are
+  // forked: the factory must close what it made and reap its children
+  // before throwing, leaving neither a running worker nor a zombie.
+  TcpOptions options;
+  options.accept_timeout = 0ms;
+  EXPECT_THROW((void)make_tcp_communicator(2, echo_worker, options),
+               CommError);
+  const pid_t reaped = ::waitpid(-1, nullptr, WNOHANG);
+  const int error = errno;
+  EXPECT_EQ(reaped, -1) << "a forked worker outlived the failed factory";
+  EXPECT_EQ(error, ECHILD);
+}
+
+TEST(TcpCommunicator, StalledWelcomeTimesOutTheWorker) {
+  // A controller that sends the welcome header (announcing 52 payload
+  // bytes) and then stalls must cost the worker the handshake deadline,
+  // not hang `wlsms worker --connect` forever.
+  std::string address;
+  Socket listener = make_listener("127.0.0.1:0", 1, address);
+  std::thread controller([&listener] {
+    Socket conn(::accept(listener.get(), nullptr, nullptr));
+    if (conn.get() < 0) return;
+    try {
+      (void)read_one_frame(conn.get(), StreamClock::now() + 5s);  // hello
+    } catch (const CommError&) {
+      return;
+    }
+    const std::uint32_t header[2] = {4 + 52, kTagWelcome};
+    (void)write_all(conn.get(), header, sizeof(header),
+                    StreamClock::now() + 1s);
+    // Hold the connection open until the worker gives up and closes it.
+    struct pollfd pfd{conn.get(), POLLIN, 0};
+    (void)::poll(&pfd, 1, 10000);
+  });
+  const auto start = StreamClock::now();
+  EXPECT_THROW((void)run_tcp_worker(address, echo_worker), CommError);
+  EXPECT_LT(StreamClock::now() - start, 5s);
+  controller.join();
 }
 
 struct Fe16 {

@@ -16,15 +16,20 @@
 #include <vector>
 
 #include <dirent.h>
+#include <poll.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "comm/framing.hpp"
+#include "comm/socket.hpp"
 #include "common/rng.hpp"
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
-#include "serve/socket_util.hpp"
+#include "serve/status.hpp"
 
 namespace wlsms::serve {
 namespace {
@@ -100,7 +105,7 @@ TEST(ServeTcp, GarbageStreamsAgainstLiveDaemonNeverCrashIt) {
   // a valid frame header with a garbage hello, and a silent half-open
   // connection that must be expired by the handshake deadline.
   for (int round = 0; round < 10; ++round) {
-    net::Socket sock = net::connect_with_timeout(
+    comm::Socket sock = comm::connect_with_timeout(
         fixture.address(), std::chrono::milliseconds(2000));
     std::vector<char> garbage(16 + rng.uniform_index(256));
     for (char& c : garbage)
@@ -364,7 +369,7 @@ TEST(ServeTcp, ClientDeathMidResumeReplayKeepsCheckpointRecoverable) {
   // mid-replay. The daemon must re-checkpoint the unsent remainder and the
   // pending requests — not clobber the file with a near-empty session.
   {
-    net::Socket victim = net::connect_with_timeout(
+    comm::Socket victim = comm::connect_with_timeout(
         fixture.address(), std::chrono::milliseconds(2000));
     const int rcvbuf = 4096;
     (void)::setsockopt(victim.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
@@ -504,6 +509,33 @@ TEST(ServeTcp, MultiClientChaosSoakLeaksNothingAndStallsNoOne) {
 
   // Every connection is gone; the daemon must not leak a single session.
   EXPECT_TRUE(wait_for_sessions_gauge(0.0, std::chrono::seconds(5)));
+}
+
+
+TEST(ServeTcp, HttpProbeOnStatusPortAllocatesOnlyWhatArrives) {
+  // "GET " decodes as a 542,393,671-byte frame length, under the 1 GiB cap.
+  // The status endpoint must grow the payload with the bytes that actually
+  // arrive, not allocate the announced length before reading any of it.
+  StatusServer server("127.0.0.1:0");
+  struct rusage before{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &before), 0);
+
+  comm::Socket probe = comm::connect_with_timeout(
+      server.address(), std::chrono::milliseconds(2000));
+  const char request[] = "GET / HTTP/1.1\r\n\r\n";
+  ASSERT_EQ(::send(probe.get(), request, sizeof(request) - 1, MSG_NOSIGNAL),
+            static_cast<ssize_t>(sizeof(request) - 1));
+  ASSERT_EQ(::shutdown(probe.get(), SHUT_WR), 0);
+  // The server reads the short "frame", hits EOF, and closes.
+  struct pollfd pfd{probe.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "status server never closed";
+  char sink;
+  EXPECT_EQ(::recv(probe.get(), &sink, 1, 0), 0);
+
+  struct rusage after{};
+  ASSERT_EQ(::getrusage(RUSAGE_SELF, &after), 0);
+  const long grown_kib = after.ru_maxrss - before.ru_maxrss;  // KiB on Linux
+  EXPECT_LT(grown_kib, 64 * 1024) << "max RSS grew " << grown_kib << " KiB";
 }
 
 }  // namespace
