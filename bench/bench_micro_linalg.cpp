@@ -5,10 +5,13 @@
 // efficiency number behind the Table II projection.
 #include <benchmark/benchmark.h>
 
+#include <map>
+
 #include "common/rng.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/lu.hpp"
 #include "perf/flops.hpp"
+#include "perf/timer.hpp"
 
 namespace {
 
@@ -59,9 +62,33 @@ void BM_ZgemmNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_ZgemmNaive)->Arg(30)->Arg(65)->Arg(130)->Arg(192);
 
-// Blocked right-looking factorization (panel + TRSM + GEMM trailing
-// update); gemm_frac is the measured share of flops the trailing ZGEMMs
-// retire.
+// Single-thread packed ZGEMM GFlop/s of an n x n x n product, timed once
+// per order over at least 50 ms: the peak the blocked LU is held against.
+double zgemm_gflops(std::size_t n) {
+  static std::map<std::size_t, double> measured;
+  const auto it = measured.find(n);
+  if (it != measured.end()) return it->second;
+  Rng rng(1);
+  const linalg::ZMatrix a = random_matrix(n, rng);
+  const linalg::ZMatrix b = random_matrix(n, rng);
+  linalg::ZMatrix c(n, n);
+  linalg::zgemm({1.0, 0.0}, a, b, {0.0, 0.0}, c);  // warm the pack buffers
+  std::size_t reps = 0;
+  const perf::Timer timer;
+  do {
+    linalg::zgemm({1.0, 0.0}, a, b, {0.0, 0.0}, c);
+    benchmark::DoNotOptimize(c.data());
+    ++reps;
+  } while (timer.seconds() < 0.05);
+  const double gflops = static_cast<double>(perf::cost::zgemm(n, n, n)) *
+                        static_cast<double>(reps) / timer.seconds() / 1e9;
+  return measured[n] = gflops;
+}
+
+// Blocked right-looking factorization (panel, GEMM-shaped row-panel solve,
+// GEMM trailing update); gemm_frac is the measured share of flops the
+// ZGEMMs retire, lu_frac_of_zgemm the LU's GFlop/s over single-thread
+// ZGEMM's at the same order.
 void BM_Zgetrf(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
@@ -77,9 +104,17 @@ void BM_Zgetrf(benchmark::State& state) {
           state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
   state.counters["gemm_frac"] = window.gemm_fraction();
+  // A rate counter of flops / peak reads as LU GFlop/s / ZGEMM GFlop/s.
+  state.counters["lu_frac_of_zgemm"] = benchmark::Counter(
+      static_cast<double>(
+          linalg::zgetrf_flops(n, linalg::LuAlgorithm::kBlocked)) *
+          state.iterations() / 1e9 / zgemm_gflops(n),
+      benchmark::Counter::kIsRate);
 }
-// 130 = the 65-atom-LIZ s-channel matrix; 30 = the fast-test zone.
-BENCHMARK(BM_Zgetrf)->Arg(30)->Arg(65)->Arg(130)->Arg(192);
+// 128 = the paper-geometry member block (64 members x 2 spins), 130 = its
+// full zone matrix, 100 = the serving geometry's member block, 30 = the
+// fast-test zone.
+BENCHMARK(BM_Zgetrf)->Arg(30)->Arg(65)->Arg(100)->Arg(128)->Arg(130)->Arg(192);
 
 // Reference rank-1-update loop, for the blocked-vs-unblocked headline.
 void BM_ZgetrfUnblocked(benchmark::State& state) {

@@ -1,13 +1,13 @@
 // The serving daemon's cross-walker batching measured for real: eight
 // concurrent walkers' energy requests coalesced by the BatchScheduler into
-// batches, each solved as one OpenMP loop over its (configuration, atom)
-// zone solves, versus the same requests computed one at a time through the
-// synchronous service — and the same comparison end-to-end over a live TCP
-// daemon with eight connected tenants. Every batched energy is
-// cross-checked against the serial solver. The bench fails unless they are
-// bit-identical, batching engaged, and batched throughput is at least
-// kMinBatchedRatio of one-at-a-time throughput. The OpenMP team comes from
-// OMP_NUM_THREADS (default: every core).
+// batches, each solved as one OpenMP loop over its (configuration, atom,
+// contour point) Schur solves, versus the same requests computed one at a
+// time through the synchronous service — and the same comparison
+// end-to-end over a live TCP daemon with eight connected tenants. Every
+// batched energy is cross-checked against the serial solver. The bench
+// fails unless they are bit-identical, batching engaged, and batched
+// throughput is at least kMinBatchedRatio of one-at-a-time throughput. The
+// OpenMP team comes from OMP_NUM_THREADS (default: every core).
 //
 // Writes BENCH_serve.json (path = argv[1], default ./BENCH_serve.json) for
 // regression tracking; `ctest -L perf` runs it as perf_serve.

@@ -6,10 +6,11 @@
 ///
 /// Two factorization algorithms are provided behind one interface: the
 /// original unblocked rank-1-update loop (reference) and a blocked
-/// right-looking variant (panel factorization + unit-lower TRSM on the row
-/// panel + ZGEMM trailing update) that retires the bulk of its flops in the
-/// packed ZGEMM — the level-3-rich structure the paper's LSMS relies on
-/// (§II-B). `kAuto` picks blocked at and above `kLuBlockedThreshold`.
+/// right-looking variant (panel factorization, a row-panel solve by an
+/// explicit unit-lower inverse times ZGEMM, and a ZGEMM trailing update)
+/// that retires the bulk of its flops in the packed ZGEMM — the
+/// level-3-rich structure the paper's LSMS relies on (§II-B). `kAuto` picks
+/// blocked at and above `kLuBlockedThreshold`.
 ///
 /// Lloyd's formula evaluates ln det M(z) of the LIZ scattering matrix on a
 /// complex-energy contour; the determinant's logarithm is accumulated from
@@ -29,12 +30,12 @@ namespace wlsms::linalg {
 enum class LuAlgorithm {
   kAuto,       ///< blocked for order >= kLuBlockedThreshold, else unblocked
   kUnblocked,  ///< reference rank-1-update loop
-  kBlocked,    ///< right-looking blocked (panel + TRSM + GEMM)
+  kBlocked,    ///< right-looking blocked (panel + row-panel GEMM + GEMM)
 };
 
 /// Panel width of the blocked factorization. Narrow enough that the GEMM
 /// trailing updates dominate the flop count already at LIZ-sized matrices
-/// (n ~ 130: ~80 % of the factorization flops are ZGEMM).
+/// (n ~ 130: ~90 % of the factorization flops are ZGEMM).
 inline constexpr std::size_t kLuBlockSize = 16;
 
 /// Matrix order at and above which kAuto picks the blocked algorithm.
@@ -44,8 +45,8 @@ inline constexpr std::size_t kLuBlockedThreshold = 64;
 /// packed L (unit lower) and U factors and `pivots[k]` is the row swapped
 /// with row k at step k. Returns the pivot-swap parity (+1/-1). Throws
 /// SingularMatrixError on an exactly zero pivot. Flops are booked per
-/// kernel (panel / TRSM / GEMM); `zgetrf_flops(n)` returns the exact total
-/// the chosen algorithm will report.
+/// kernel (panel / L11 inverse / GEMM); `zgetrf_flops(n)` returns the exact
+/// total the chosen algorithm will report.
 int zgetrf_in_place(ZMatrix& a, std::vector<std::size_t>& pivots,
                     LuAlgorithm algorithm = LuAlgorithm::kAuto);
 

@@ -34,6 +34,22 @@ void parallel_for(std::size_t count, const Body& body) {
   if (error) std::rethrow_exception(error);
 }
 
+/// Local band energy -(1/pi) Im of a zone's summed contour terms.
+double band_energy(Complex contour_sum) {
+  const double pi = std::acos(-1.0);
+  return -contour_sum.imag() / pi;
+}
+
+/// Band energy of one zone from its n_points contour terms, summed in point
+/// order k = 0 .. n_points-1: the arithmetic of LsmsSolver::zone_energy, so
+/// the parallel loops that compute the terms in any order reduce to the same
+/// bits at any team size.
+double band_energy(const Complex* terms, std::size_t n_points) {
+  Complex accumulated{0.0, 0.0};
+  for (std::size_t k = 0; k < n_points; ++k) accumulated += terms[k];
+  return band_energy(accumulated);
+}
+
 }  // namespace
 
 LsmsSolver::LsmsSolver(lattice::Structure structure, LsmsParameters params)
@@ -104,9 +120,9 @@ void LsmsSolver::refresh_t_table(const spin::MomentConfiguration& moments,
   out = t_cache_table_;
 }
 
-double LsmsSolver::zone_energy(
-    const LizGeometry& liz, const std::vector<spin::Spin2x2>& t_table) const {
-  const std::vector<SchurTemplates>& templates = *templates_[liz.center];
+Complex LsmsSolver::zone_point_term(const LizGeometry& liz,
+                                    const std::vector<spin::Spin2x2>& t_table,
+                                    std::size_t k) const {
   const std::size_t n_points = contour_.size();
   const std::size_t n_members = liz.members.size();
 
@@ -117,18 +133,22 @@ double LsmsSolver::zone_energy(
   static thread_local std::vector<spin::Spin2x2> member_tinv;
   member_tinv.resize(n_members);
 
+  const spin::Spin2x2& center = t_table[liz.center * n_points + k];
+  for (std::size_t j = 0; j < n_members; ++j)
+    member_tinv[j] = t_table[liz.members[j].site * n_points + k];
+  const spin::Spin2x2 tau = central_tau_schur((*templates_[liz.center])[k],
+                                              center, member_tinv.data(),
+                                              workspace);
+  const Complex trace = tau[0] + tau[3];
+  return contour_[k].weight * contour_[k].z * trace;
+}
+
+double LsmsSolver::zone_energy(
+    const LizGeometry& liz, const std::vector<spin::Spin2x2>& t_table) const {
   Complex accumulated{0.0, 0.0};
-  for (std::size_t k = 0; k < n_points; ++k) {
-    const spin::Spin2x2& center = t_table[liz.center * n_points + k];
-    for (std::size_t j = 0; j < n_members; ++j)
-      member_tinv[j] = t_table[liz.members[j].site * n_points + k];
-    const spin::Spin2x2 tau =
-        central_tau_schur(templates[k], center, member_tinv.data(), workspace);
-    const Complex trace = tau[0] + tau[3];
-    accumulated += contour_[k].weight * contour_[k].z * trace;
-  }
-  const double pi = std::acos(-1.0);
-  return -accumulated.imag() / pi;
+  for (std::size_t k = 0; k < contour_.size(); ++k)
+    accumulated += zone_point_term(liz, t_table, k);
+  return band_energy(accumulated);
 }
 
 double LsmsSolver::local_energy(std::size_t i,
@@ -146,12 +166,18 @@ LocalEnergies LsmsSolver::energies(
   WLSMS_EXPECTS(moments.size() == n_atoms());
   std::vector<spin::Spin2x2> table;
   refresh_t_table(moments, table);
-  LocalEnergies out;
-  out.per_atom.assign(n_atoms(), 0.0);
-  parallel_for(n_atoms(), [&](std::size_t i) {
-    out.per_atom[i] = zone_energy(lizs_[i], table);
+  // One item per (atom, contour point) Schur solve, atom-major.
+  const std::size_t n_points = contour_.size();
+  std::vector<Complex> terms(n_atoms() * n_points);
+  parallel_for(terms.size(), [&](std::size_t p) {
+    terms[p] = zone_point_term(lizs_[p / n_points], table, p % n_points);
   });
-  for (double e : out.per_atom) out.total += e;
+  LocalEnergies out;
+  out.per_atom.resize(n_atoms());
+  for (std::size_t i = 0; i < n_atoms(); ++i) {
+    out.per_atom[i] = band_energy(terms.data() + i * n_points, n_points);
+    out.total += out.per_atom[i];
+  }
   return out;
 }
 
@@ -166,7 +192,7 @@ std::vector<double> LsmsSolver::shard_energies(
   WLSMS_EXPECTS(moments.size() == n_atoms());
   WLSMS_EXPECTS(count >= 1);
   WLSMS_EXPECTS(first + count <= n_atoms());
-  std::vector<spin::Spin2x2> table;
+  static thread_local std::vector<spin::Spin2x2> table;
   refresh_t_table(moments, table);
   std::vector<double> out(count);
   for (std::size_t k = 0; k < count; ++k)
@@ -202,18 +228,25 @@ std::vector<LocalEnergies> LsmsSolver::batch_energies(
     }
   }
 
-  // Every (config, atom) pair is one independent zone solve, the same
-  // kernel energies() runs per atom.
-  std::vector<LocalEnergies> out(n_configs);
-  for (LocalEnergies& result : out) result.per_atom.assign(n, 0.0);
-  parallel_for(n_configs * n, [&](std::size_t p) {
-    const std::size_t c = p / n;
-    const std::size_t i = p % n;
-    out[c].per_atom[i] = zone_energy(lizs_[i], tables[c]);
+  // Every (config, atom, contour point) triple is one independent Schur
+  // solve, the same kernel and item grain energies() runs.
+  const std::size_t per_config = n * n_points;
+  std::vector<Complex> terms(n_configs * per_config);
+  parallel_for(terms.size(), [&](std::size_t p) {
+    const std::size_t c = p / per_config;
+    const std::size_t i = p % per_config / n_points;
+    terms[p] = zone_point_term(lizs_[i], tables[c], p % n_points);
   });
 
-  for (LocalEnergies& result : out)
-    for (double e : result.per_atom) result.total += e;
+  std::vector<LocalEnergies> out(n_configs);
+  for (std::size_t c = 0; c < n_configs; ++c) {
+    out[c].per_atom.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[c].per_atom[i] =
+          band_energy(terms.data() + c * per_config + i * n_points, n_points);
+      out[c].total += out[c].per_atom[i];
+    }
+  }
   return out;
 }
 
@@ -240,12 +273,17 @@ LocalEnergies LsmsSolver::energy_after_move(
   std::vector<spin::Spin2x2> table;
   refresh_t_table(trial, table);
 
-  LocalEnergies out = current;
   const std::vector<std::size_t>& affected = affected_[move.site];
-  parallel_for(affected.size(), [&](std::size_t k) {
-    const std::size_t i = affected[k];
-    out.per_atom[i] = zone_energy(lizs_[i], table);
+  const std::size_t n_points = contour_.size();
+  std::vector<Complex> terms(affected.size() * n_points);
+  parallel_for(terms.size(), [&](std::size_t p) {
+    terms[p] =
+        zone_point_term(lizs_[affected[p / n_points]], table, p % n_points);
   });
+  LocalEnergies out = current;
+  for (std::size_t a = 0; a < affected.size(); ++a)
+    out.per_atom[affected[a]] =
+        band_energy(terms.data() + a * n_points, n_points);
   out.total = 0.0;
   for (double e : out.per_atom) out.total += e;
   return out;

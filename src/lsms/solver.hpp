@@ -24,9 +24,11 @@
 /// moved site's entries are recomputed.
 ///
 /// Domain decomposition follows the paper: each atom's solve is independent
-/// given the t-matrices of its LIZ ("one atom per processor"); here the atom
-/// loop is OpenMP-parallel and, in the distributed harness (src/parallel,
-/// src/cluster), one walker's atoms map onto one LSMS instance.
+/// given the t-matrices of its LIZ ("one atom per processor"). Here every
+/// (atom, contour point) Schur solve is one item of an OpenMP loop, and each
+/// atom's terms are summed afterwards in fixed point order, so energies are
+/// bit-identical at any team size. In the distributed harness (src/comm,
+/// src/cluster) one walker's atoms map onto one LSMS instance.
 
 #include <cstddef>
 #include <map>
@@ -81,8 +83,8 @@ class LsmsSolver {
   double local_energy(std::size_t i,
                       const spin::MomentConfiguration& moments) const;
 
-  /// Total energy and the per-atom breakdown (atom loop is OpenMP-parallel;
-  /// a zone solve's SingularMatrixError reaches the caller).
+  /// Total energy and the per-atom breakdown. One OpenMP loop runs every
+  /// (atom, contour point) solve; a SingularMatrixError reaches the caller.
   LocalEnergies energies(const spin::MomentConfiguration& moments) const;
 
   /// Local band energies of the contiguous atom shard [first, first+count):
@@ -100,9 +102,10 @@ class LsmsSolver {
 
   /// Energies of many independent configurations at once: the serving
   /// scheduler's cross-walker batch (DESIGN.md §12). One OpenMP loop runs
-  /// every (configuration, atom) zone solve through the same kernel as
-  /// energies(), and totals sum in atom order, so each result is
-  /// bit-identical to energies() of that configuration at any team size.
+  /// every (configuration, atom, contour point) solve through the same
+  /// kernel as energies(), and sums run in point then atom order, so each
+  /// result is bit-identical to energies() of that configuration at any
+  /// team size.
   /// Throws the first zone solve's exception (e.g. SingularMatrixError)
   /// after the loop; the caller retries configurations one at a time.
   std::vector<LocalEnergies> batch_energies(
@@ -114,8 +117,9 @@ class LsmsSolver {
   const std::vector<std::size_t>& affected_sites(std::size_t site) const;
 
   /// Energy after applying `move` to `moments`, given the current per-atom
-  /// breakdown; recomputes only affected_sites(move.site). Returns the new
-  /// breakdown. `moments` is left unchanged.
+  /// breakdown; recomputes only affected_sites(move.site), one loop item per
+  /// (affected atom, contour point). Returns the new breakdown, bitwise
+  /// energies() of the moved configuration. `moments` is left unchanged.
   LocalEnergies energy_after_move(const spin::MomentConfiguration& moments,
                                   const spin::TrialMove& move,
                                   const LocalEnergies& current) const;
@@ -131,6 +135,15 @@ class LsmsSolver {
   std::uint64_t flops_per_zone_energy(std::size_t i) const;
 
  private:
+  /// One contour point's term w_k z_k Tr tau_00(z_k) of a zone: a single
+  /// Schur solve, the work item of every parallel loop. Uses per-thread
+  /// scratch, so steady-state calls allocate nothing.
+  Complex zone_point_term(const LizGeometry& liz,
+                          const std::vector<spin::Spin2x2>& t_table,
+                          std::size_t k) const;
+
+  /// Serial local band energy of one zone: its point terms summed in point
+  /// order k = 0 .. n-1, the reduction every parallel loop reproduces.
   double zone_energy(const LizGeometry& liz,
                      const std::vector<spin::Spin2x2>& t_table) const;
 

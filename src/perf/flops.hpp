@@ -24,7 +24,7 @@ namespace wlsms::perf {
 /// is not one of the named level-3 kernels (GEMV, small closed-form ops).
 enum class Kernel : unsigned {
   kZgemm = 0,  ///< packed/naive matrix-matrix multiply
-  kTrsm = 1,   ///< triangular solves (TRSM row panels, GETRS substitution)
+  kTrsm = 1,   ///< triangular solves (LU L11 inverses, GETRS substitution)
   kPanel = 2,  ///< unblocked LU panel factorization (rank-1 updates, scaling)
   kOther = 3,  ///< everything else (GEMV, accumulations)
 };
@@ -89,11 +89,11 @@ constexpr std::uint64_t zgetrs(std::uint64_t n, std::uint64_t nrhs) {
   return 8ULL * n * n * nrhs;
 }
 
-/// Unit-lower triangular solve L X = B with L (n x n, unit diagonal) and
-/// nrhs right-hand sides: per column, n(n-1)/2 complex fused multiply-adds.
-constexpr std::uint64_t ztrsm_unit_lower(std::uint64_t n,
-                                         std::uint64_t nrhs) {
-  return n == 0 ? 0 : 4ULL * n * (n - 1) * nrhs;
+/// Inverse of an n x n unit-lower triangular matrix by forward substitution
+/// against the identity: column c costs (n-c)(n-c-1)/2 complex fused
+/// multiply-adds, (n+1)n(n-1)/6 in total.
+constexpr std::uint64_t ztrtri_unit_lower(std::uint64_t n) {
+  return n == 0 ? 0 : 8ULL * ((n + 1) * n * (n - 1) / 6);
 }
 
 /// Unblocked partial-pivoting LU of an m x n panel (m >= n): per column j,
@@ -112,16 +112,18 @@ constexpr std::uint64_t zgetrf_panel(std::uint64_t m, std::uint64_t n) {
 }
 
 /// Blocked right-looking LU of an n x n matrix with block size nb: per
-/// panel, an unblocked panel factorization + a unit-lower TRSM on the row
-/// panel + a ZGEMM trailing update. Exactly the sum of what the blocked
-/// kernel's pieces retire.
+/// panel, an unblocked panel factorization, then (while columns remain to
+/// its right) the row-panel solve -- inverting the w x w unit-lower L11 and
+/// one w x rem x w ZGEMM -- and the rem x rem x w ZGEMM trailing update.
+/// Exactly the sum of what the blocked kernel's pieces retire.
 constexpr std::uint64_t zgetrf_blocked(std::uint64_t n, std::uint64_t nb) {
   std::uint64_t total = 0;
   for (std::uint64_t k0 = 0; k0 < n; k0 += nb) {
     const std::uint64_t w = (n - k0) < nb ? (n - k0) : nb;
     const std::uint64_t rem = n - k0 - w;
     total += zgetrf_panel(n - k0, w);
-    if (rem > 0) total += ztrsm_unit_lower(w, rem) + zgemm(rem, rem, w);
+    if (rem > 0)
+      total += ztrtri_unit_lower(w) + zgemm(w, rem, w) + zgemm(rem, rem, w);
   }
   return total;
 }

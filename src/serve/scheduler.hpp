@@ -7,12 +7,12 @@
 ///
 /// Coalescing (DESIGN.md §12): every pending request is an independent
 /// walker configuration of the same structure, so one batch of B requests
-/// is B x n_atoms independent zone solves. LsmsSolver::batch_energies runs
-/// them as one OpenMP loop (team size from OMP_NUM_THREADS) over the same
-/// per-zone kernel energies() uses. Under light load (a lone pending
-/// request) the scheduler falls back to a real SynchronousEnergyService;
-/// both paths sum the same zone energies in atom order, so they return
-/// bit-identical energies.
+/// is B x n_atoms x n_points independent Schur solves.
+/// LsmsSolver::batch_energies runs them as one OpenMP loop (team size from
+/// OMP_NUM_THREADS) over the same per-point kernel energies() uses. Under
+/// light load (a lone pending request) the scheduler falls back to a real
+/// SynchronousEnergyService; both paths sum the same point terms in point
+/// then atom order, so they return bit-identical energies.
 
 #include <chrono>
 #include <cstdint>

@@ -15,6 +15,9 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <set>
 #include <string>
 
 #include <csignal>
@@ -26,6 +29,7 @@
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
 #include "lsms/solver.hpp"
+#include "obs/metrics.hpp"
 #include "wl/energy_function.hpp"
 
 namespace wlsms::comm {
@@ -306,6 +310,61 @@ TEST(ProcessDistributedService, SigkilledWorkerMidRunRequestCompletes) {
   // Still serviceable afterwards.
   distributed.submit({0, 2, moments});
   EXPECT_EQ(distributed.retrieve().energy, f.energy->total_energy(moments));
+}
+
+/// Pids of this process's live children, from every thread's
+/// /proc/self/task/<tid>/children list.
+std::set<pid_t> child_pids() {
+  std::set<pid_t> pids;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream children(task.path() / "children");
+    pid_t pid = 0;
+    while (children >> pid) pids.insert(pid);
+  }
+  return pids;
+}
+
+TEST(ProcessDistributedService, HeartbeatTimeoutKillsExactlyTheStoppedWorker) {
+  // A SIGSTOPped worker stays connected but never answers its shard: only
+  // the heartbeat timeout can find it. The controller must count exactly
+  // one miss, kill and reap exactly that process, and finish the request
+  // on the other ranks with the serial solver's bits.
+  const Fe16& f = fe16();
+  DistributedConfig config;
+  config.n_groups = 1;
+  config.group_size = 3;
+  config.transport = Transport::kProcess;
+  config.heartbeat_timeout = 1000ms;
+  const std::set<pid_t> before = child_pids();
+  DistributedEnergyService distributed(f.solver, config);
+  std::vector<pid_t> workers;
+  for (const pid_t pid : child_pids())
+    if (before.count(pid) == 0) workers.push_back(pid);
+  ASSERT_EQ(workers.size(), 3u);
+
+  obs::Counter& misses =
+      obs::Registry::instance().counter("comm.heartbeat_misses");
+  const std::uint64_t misses_before = misses.value();
+  const pid_t stopped = workers[1];
+  ASSERT_EQ(::kill(stopped, SIGSTOP), 0);
+
+  Rng rng(34);
+  const auto moments = spin::MomentConfiguration::random(16, rng);
+  distributed.submit({0, 1, moments});
+  const wl::EnergyResult result = distributed.retrieve();
+  EXPECT_FALSE(result.failed);
+  EXPECT_EQ(result.energy, f.energy->total_energy(moments));
+  EXPECT_EQ(misses.value() - misses_before, 1u);
+
+  const int probe = ::kill(stopped, 0);
+  const int probe_errno = errno;
+  EXPECT_EQ(probe, -1) << "stopped worker was not reaped";
+  EXPECT_EQ(probe_errno, ESRCH);
+  for (const pid_t pid : workers)
+    if (pid != stopped)
+      EXPECT_EQ(::kill(pid, 0), 0) << "healthy worker " << pid << " is gone";
+  EXPECT_EQ(distributed.n_alive_workers(), 2u);
 }
 
 TEST(ProcessDistributedService, DeltaScatterAcrossProcessesStaysBitIdentical) {

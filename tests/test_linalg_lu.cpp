@@ -115,6 +115,55 @@ TEST(LuBlocked, MatchesUnblockedOnRandomMatrix) {
   EXPECT_NEAR(ld_b.imag(), ld_u.imag(), 1e-10);
 }
 
+TEST(LuBlocked, MatchesUnblockedWhenFirstPanelInverseIsWorst) {
+  // The row-panel solve multiplies A12 by an explicit inv(L11). Its worst
+  // case is a first L11 whose sub-diagonal multipliers are all -1:
+  // inv(L11) then has entries 2^(i-j-1), up to 2^14 at a 16-wide panel, and
+  // U12 = inv(L11) A12 comes out of heavy cancellation. A = L U with
+  // L = [L11 0; L21 I] (L11, L21 all -1 below the diagonal) and
+  // U = [I U12; 0 U22] builds it: every candidate in a first-panel column
+  // ties the pivot under cabs1, so no row moves, and the dominant upper
+  // triangular U22 keeps the later panels in place too.
+  const std::size_t n = 128;
+  const std::size_t w = kLuBlockSize;
+  Rng rng(1282);
+  ZMatrix u12(w, n - w);
+  for (std::size_t c = 0; c < n - w; ++c)
+    for (std::size_t r = 0; r < w; ++r)
+      u12(r, c) = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+  ZMatrix a(n, n);
+  for (std::size_t j = 0; j < w; ++j) {
+    a(j, j) = {1.0, 0.0};
+    for (std::size_t i = j + 1; i < n; ++i) a(i, j) = {-1.0, 0.0};
+  }
+  for (std::size_t c = w; c < n; ++c) {
+    // A12 = L11 U12 and A22 = L21 U12 + U22, row by row.
+    Complex prefix{0.0, 0.0};  // sum of U12 rows above the current one
+    for (std::size_t r = 0; r < w; ++r) {
+      a(r, c) = u12(r, c - w) - prefix;
+      prefix += u12(r, c - w);
+    }
+    for (std::size_t r = w; r < n; ++r) a(r, c) = -prefix;
+    for (std::size_t r = w; r < c; ++r)
+      a(r, c) += Complex{rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+    a(c, c) += Complex{4.0 + rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0)};
+  }
+
+  const LuFactorization blocked(a, LuAlgorithm::kBlocked);
+  const LuFactorization unblocked(a, LuAlgorithm::kUnblocked);
+  for (std::size_t j = 0; j < w; ++j) {
+    ASSERT_EQ(unblocked.pivots()[j], j);
+    for (std::size_t i = j + 1; i < w; ++i)
+      ASSERT_EQ(unblocked.packed()(i, j), Complex(-1.0, 0.0));
+  }
+  EXPECT_EQ(blocked.pivots(), unblocked.pivots());
+  EXPECT_LT(blocked.packed().max_abs_diff(unblocked.packed()), 1e-10);
+  const Complex ld_b = blocked.log_det();
+  const Complex ld_u = unblocked.log_det();
+  EXPECT_NEAR(ld_b.real(), ld_u.real(), 1e-10);
+  EXPECT_NEAR(ld_b.imag(), ld_u.imag(), 1e-10);
+}
+
 TEST(LuBlocked, ReconstructsMatrixThroughPlu) {
   for (const std::size_t n : {64ul, 97ul, 130ul}) {
     Rng rng(n);

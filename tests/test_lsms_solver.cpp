@@ -125,11 +125,53 @@ TEST(LsmsSolver, EnergyAfterMoveMatchesFullRecompute) {
     config.set(move.site, move.new_direction);
     const LocalEnergies recomputed = solver.energies(config);
 
-    EXPECT_NEAR(incremental.total, recomputed.total, 1e-10);
-    for (std::size_t i = 0; i < 16; ++i)
-      EXPECT_NEAR(incremental.per_atom[i], recomputed.per_atom[i], 1e-10);
+    EXPECT_EQ(std::memcmp(incremental.per_atom.data(),
+                          recomputed.per_atom.data(), 16 * sizeof(double)),
+              0)
+        << "move " << k;
+    EXPECT_EQ(std::memcmp(&incremental.total, &recomputed.total,
+                          sizeof(double)),
+              0)
+        << "move " << k;
     current = incremental;
   }
+}
+
+TEST(LsmsSolver, EnergiesBitIdenticalAcrossTeamSizes) {
+  // Every (atom, contour point) Schur solve is one OpenMP item, and each
+  // atom's terms are summed afterwards in point order, so the breakdown must
+  // not depend on the team size -- nor on whether energy_after_move or a
+  // full energies() produced it. The paper geometry puts the order-128
+  // member block on the blocked-LU path.
+  const LsmsSolver solver(lattice::make_fe_supercell(2), fe_lsms_parameters());
+  ASSERT_EQ(2 * (solver.liz_size(0) - 1), 128u);
+  Rng rng(41);
+  const auto config = spin::MomentConfiguration::random(16, rng);
+  spin::TrialMove move;
+  move.site = 5;
+  move.new_direction = rng.unit_vector();
+  spin::MomentConfiguration moved = config;
+  moved.set(move.site, move.new_direction);
+
+  const auto same_bits = [](const LocalEnergies& a, const LocalEnergies& b) {
+    return a.per_atom.size() == b.per_atom.size() &&
+           std::memcmp(a.per_atom.data(), b.per_atom.data(),
+                       a.per_atom.size() * sizeof(double)) == 0 &&
+           std::memcmp(&a.total, &b.total, sizeof(double)) == 0;
+  };
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const LocalEnergies reference = solver.energies(config);
+  const LocalEnergies moved_reference = solver.energies(moved);
+  for (const int threads : {1, 2, 3, 4}) {
+    omp_set_num_threads(threads);
+    EXPECT_TRUE(same_bits(solver.energies(config), reference))
+        << "threads " << threads;
+    EXPECT_TRUE(same_bits(solver.energy_after_move(config, move, reference),
+                          moved_reference))
+        << "threads " << threads;
+  }
+  omp_set_num_threads(saved_threads);
 }
 
 TEST(LsmsSolver, AffectedSitesAreSymmetricAndIncludeSelf) {
