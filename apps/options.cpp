@@ -146,10 +146,6 @@ ServeOptions ServeOptions::parse(const Options& options) {
   parsed.max_pending = get_size(options, "max-pending", parsed.max_pending, 1);
   parsed.max_outstanding =
       get_size(options, "max-outstanding", parsed.max_outstanding, 1);
-  parsed.max_batch = get_size(options, "max-batch", parsed.max_batch, 1);
-  parsed.batch_window_ms = options.get_long("batch-window", parsed.batch_window_ms);
-  if (parsed.batch_window_ms < 0)
-    throw std::runtime_error("--batch-window: must be >= 0");
   parsed.checkpoint_dir = options.get_string("checkpoint-dir", "");
   return parsed;
 }

@@ -107,8 +107,6 @@ struct ServeOptions {
   std::string listen = "127.0.0.1:7878";
   std::size_t max_pending = 256;
   std::size_t max_outstanding = 64;
-  std::size_t max_batch = 16;
-  long batch_window_ms = 5;
   std::string checkpoint_dir;
 
   static ServeOptions parse(const Options& options);

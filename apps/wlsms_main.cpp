@@ -14,8 +14,8 @@
 //   worker   join a TCP controller as one worker rank (the multi-node
 //            worker side of `distributed --transport tcp --external 1`)
 //   serve    run the persistent multi-tenant energy daemon: clients submit
-//            walker configurations over TCP and concurrent requests are
-//            coalesced into cross-walker batched ZGEMM dispatches
+//            walker configurations over TCP and the daemon solves them one
+//            request at a time, round-robin across sessions
 //   client   drive a running daemon: submit random configurations as one
 //            tenant and (optionally) cross-check the energies against a
 //            local serial solver
@@ -96,8 +96,7 @@ int usage() {
       "  worker   --connect HOST:PORT [--cells C]   (one TCP worker rank;\n"
       "           --cells must match the controller's)\n"
       "  serve    [--cells C] [--listen HOST:PORT] [--max-pending N]\n"
-      "           [--max-outstanding N] [--max-batch N] [--batch-window MS]\n"
-      "           [--checkpoint-dir DIR]\n"
+      "           [--max-outstanding N] [--checkpoint-dir DIR]\n"
       "           (multi-tenant energy daemon; OMP_NUM_THREADS sizes its\n"
       "           solves; Ctrl-C checkpoints live sessions and exits)\n"
       "  client   --connect HOST:PORT [--tenant NAME] [--evals K]\n"
@@ -477,14 +476,7 @@ int cmd_serve(const cli::ServeOptions& opt) {
   serve_options.listen = opt.listen;
   serve_options.limits.max_pending = opt.max_pending;
   serve_options.limits.max_session_outstanding = opt.max_outstanding;
-  serve_options.limits.max_batch = opt.max_batch;
-  serve_options.limits.batch_window =
-      std::chrono::milliseconds(opt.batch_window_ms);
   serve_options.checkpoint_dir = opt.checkpoint_dir;
-  serve_options.on_listening = [](const std::string& address) {
-    std::printf("serving on %s\n", address.c_str());
-    std::fflush(stdout);
-  };
 
   const auto solver = std::make_shared<const lsms::LsmsSolver>(
       lattice::make_fe_supercell(opt.cells), lsms::fe_lsms_parameters_fast());
@@ -496,16 +488,17 @@ int cmd_serve(const cli::ServeOptions& opt) {
   g_serve_daemon = &daemon;
   std::signal(SIGINT, serve_sigint);
   std::signal(SIGTERM, serve_sigint);
+  // Announced only once Ctrl-C would drain and checkpoint, not kill.
+  std::printf("serving on %s\n", daemon.address().c_str());
+  std::fflush(stdout);
   daemon.run();
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
   g_serve_daemon = nullptr;
 
-  const serve::BatchScheduler::Stats& stats = daemon.scheduler_stats();
   io::TextTable table({"quantity", "value"});
-  table.row({"batches dispatched", std::to_string(stats.batches)});
-  table.row({"requests batched", std::to_string(stats.batched_requests)});
-  table.row({"requests singleton", std::to_string(stats.singleton_requests)});
+  table.row({"requests solved",
+             std::to_string(daemon.scheduler_stats().dispatches)});
   table.print();
   return 0;
 }
@@ -626,35 +619,35 @@ int main(int argc, char** argv) {
 
     // Parse the whole stringly map into one validated struct per subcommand
     // before any work starts; the command bodies never touch raw options.
-    int status = 2;
+    // The parse marks every key the subcommand knows, so the warnings about
+    // the rest come out before the command runs, not after it returns.
+    const auto run = [&options](auto parsed, auto command) {
+      for (const std::string& key : options.unused_keys())
+        std::fprintf(stderr, "warning: unrecognized option --%s ignored\n",
+                     key.c_str());
+      return command(parsed);
+    };
     if (options.command() == "curie")
-      status = cmd_curie(cli::CurieOptions::parse(options));
-    else if (options.command() == "thermo")
-      status = cmd_thermo(cli::ThermoOptions::parse(options));
-    else if (options.command() == "extract")
-      status = cmd_extract(cli::ExtractOptions::parse(options));
-    else if (options.command() == "scaling")
-      status = cmd_scaling(cli::ScalingOptions::parse(options));
-    else if (options.command() == "distributed")
-      status = cmd_distributed(cli::DistributedOptions::parse(options));
-    else if (options.command() == "worker")
-      status = cmd_worker(cli::WorkerOptions::parse(options));
-    else if (options.command() == "serve")
-      status = cmd_serve(cli::ServeOptions::parse(options));
-    else if (options.command() == "client")
-      status = cmd_client(cli::ClientOptions::parse(options));
-    else if (options.command() == "status")
-      status = cmd_status(cli::StatusOptions::parse(options));
-    else {
-      std::fprintf(stderr, "unknown command '%s'\n\n",
-                   options.command().c_str());
-      return usage();
-    }
-
-    for (const std::string& key : options.unused_keys())
-      std::fprintf(stderr, "warning: unrecognized option --%s ignored\n",
-                   key.c_str());
-    return status;
+      return run(cli::CurieOptions::parse(options), cmd_curie);
+    if (options.command() == "thermo")
+      return run(cli::ThermoOptions::parse(options), cmd_thermo);
+    if (options.command() == "extract")
+      return run(cli::ExtractOptions::parse(options), cmd_extract);
+    if (options.command() == "scaling")
+      return run(cli::ScalingOptions::parse(options), cmd_scaling);
+    if (options.command() == "distributed")
+      return run(cli::DistributedOptions::parse(options), cmd_distributed);
+    if (options.command() == "worker")
+      return run(cli::WorkerOptions::parse(options), cmd_worker);
+    if (options.command() == "serve")
+      return run(cli::ServeOptions::parse(options), cmd_serve);
+    if (options.command() == "client")
+      return run(cli::ClientOptions::parse(options), cmd_client);
+    if (options.command() == "status")
+      return run(cli::StatusOptions::parse(options), cmd_status);
+    std::fprintf(stderr, "unknown command '%s'\n\n",
+                 options.command().c_str());
+    return usage();
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;

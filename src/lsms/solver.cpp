@@ -200,56 +200,6 @@ std::vector<double> LsmsSolver::shard_energies(
   return out;
 }
 
-std::vector<LocalEnergies> LsmsSolver::batch_energies(
-    const std::vector<const spin::MomentConfiguration*>& configs) const {
-  const obs::Span span("lsms.batch_energies");
-  const std::size_t n_configs = configs.size();
-  const std::size_t n = n_atoms();
-  const std::size_t n_points = contour_.size();
-  for (const spin::MomentConfiguration* config : configs) {
-    WLSMS_EXPECTS(config != nullptr);
-    WLSMS_EXPECTS(config->size() == n);
-  }
-
-  // Per-configuration t^-1 tables, computed directly rather than through
-  // the shared incremental cache (which alternating configurations would
-  // thrash into full recomputes anyway). t_inverse is pure, so the values
-  // are bitwise the ones refresh_t_table hands energies(). Plain locals,
-  // never thread_local: the OpenMP workers below must all read these
-  // tables, not each see its own empty copy.
-  std::vector<std::vector<spin::Spin2x2>> tables(n_configs);
-  for (std::size_t c = 0; c < n_configs; ++c) {
-    tables[c].resize(n * n_points);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Vec3& e = (*configs[c])[i];
-      spin::Spin2x2* row = tables[c].data() + i * n_points;
-      for (std::size_t k = 0; k < n_points; ++k)
-        row[k] = scatterer_.t_inverse(e, contour_[k].z);
-    }
-  }
-
-  // Every (config, atom, contour point) triple is one independent Schur
-  // solve, the same kernel and item grain energies() runs.
-  const std::size_t per_config = n * n_points;
-  std::vector<Complex> terms(n_configs * per_config);
-  parallel_for(terms.size(), [&](std::size_t p) {
-    const std::size_t c = p / per_config;
-    const std::size_t i = p % per_config / n_points;
-    terms[p] = zone_point_term(lizs_[i], tables[c], p % n_points);
-  });
-
-  std::vector<LocalEnergies> out(n_configs);
-  for (std::size_t c = 0; c < n_configs; ++c) {
-    out[c].per_atom.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[c].per_atom[i] =
-          band_energy(terms.data() + c * per_config + i * n_points, n_points);
-      out[c].total += out[c].per_atom[i];
-    }
-  }
-  return out;
-}
-
 const std::vector<std::size_t>& LsmsSolver::affected_sites(
     std::size_t site) const {
   WLSMS_EXPECTS(site < n_atoms());

@@ -100,17 +100,6 @@ class LsmsSolver {
   /// Total energy only.
   double energy(const spin::MomentConfiguration& moments) const;
 
-  /// Energies of many independent configurations at once: the serving
-  /// scheduler's cross-walker batch (DESIGN.md §12). One OpenMP loop runs
-  /// every (configuration, atom, contour point) solve through the same
-  /// kernel as energies(), and sums run in point then atom order, so each
-  /// result is bit-identical to energies() of that configuration at any
-  /// team size.
-  /// Throws the first zone solve's exception (e.g. SingularMatrixError)
-  /// after the loop; the caller retries configurations one at a time.
-  std::vector<LocalEnergies> batch_energies(
-      const std::vector<const spin::MomentConfiguration*>& configs) const;
-
   /// Sites whose local energy changes when `site` moves: site itself plus
   /// every atom whose LIZ contains it. Mirrors the paper's communication
   /// pattern (a t-matrix is sent exactly to the zones that list it).

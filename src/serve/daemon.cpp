@@ -51,8 +51,8 @@ void observe_stage(const std::string& stage, const std::string& tenant_label,
       .observe(ms);
 }
 
-ServeReject::Reason reject_reason(BatchScheduler::Admission admission) {
-  return admission == BatchScheduler::Admission::kQueueFull
+ServeReject::Reason reject_reason(RequestScheduler::Admission admission) {
+  return admission == RequestScheduler::Admission::kQueueFull
              ? ServeReject::Reason::kQueueFull
              : ServeReject::Reason::kQuotaExceeded;
 }
@@ -106,8 +106,6 @@ Daemon::Daemon(std::shared_ptr<const lsms::LsmsSolver> solver,
   token_state_ = (static_cast<std::uint64_t>(std::random_device{}()) << 32) ^
                  std::random_device{}();
   seed_next_session();
-
-  if (options_.on_listening) options_.on_listening(address_);
 }
 
 void Daemon::seed_next_session() {
@@ -161,26 +159,22 @@ std::string Daemon::checkpoint_path(std::uint64_t session) const {
 }
 
 int Daemon::poll_timeout_ms() const {
-  const auto now = std::chrono::steady_clock::now();
+  if (scheduler_.pending() > 0) return 0;
   std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (scheduler_.pending() >= options_.limits.max_batch) return 0;
-  if (const auto oldest = scheduler_.oldest_pending_since())
-    deadline = *oldest + options_.limits.batch_window;
   for (const auto& [fd, conn] : connections_)
     if (!conn.handshaken) {
       const auto expiry = conn.connected_at + options_.handshake_timeout;
       if (!deadline || expiry < *deadline) deadline = expiry;
     }
   if (!deadline) return -1;
-  const auto remaining =
-      std::chrono::duration_cast<std::chrono::milliseconds>(*deadline - now);
+  const auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
+      *deadline - std::chrono::steady_clock::now());
   return remaining.count() < 0 ? 0 : static_cast<int>(remaining.count() + 1);
 }
 
 void Daemon::run() {
-  bool stopping = false;
   std::vector<struct pollfd> pfds;
-  while (!stopping) {
+  while (true) {
     pfds.clear();
     pfds.push_back({stop_read_, POLLIN, 0});
     pfds.push_back({listener_, POLLIN, 0});
@@ -194,23 +188,19 @@ void Daemon::run() {
       char drain[64];
       while (::read(stop_read_, drain, sizeof(drain)) > 0) {
       }
-      stopping = true;
+      break;
     }
-    if (!stopping) {
-      if (pfds[1].revents & (POLLIN | POLLERR)) accept_pending();
-      for (std::size_t i = 2; i < pfds.size(); ++i)
-        if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR))
-          if (connections_.count(pfds[i].fd) != 0)
-            read_connection(pfds[i].fd);
-      expire_handshakes();
-    }
-    dispatch_ready_batches();
+    if (pfds[1].revents & (POLLIN | POLLERR)) accept_pending();
+    for (std::size_t i = 2; i < pfds.size(); ++i)
+      if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR))
+        if (connections_.count(pfds[i].fd) != 0) read_connection(pfds[i].fd);
+    expire_handshakes();
+    dispatch_next();
   }
 
-  // Drain: solve and route everything still pending (the batch window no
-  // longer applies), then checkpoint and drop every session so nothing is
-  // silently lost.
-  dispatch_ready_batches(/*force=*/true);
+  // Drain: solve and route everything still pending, then checkpoint and
+  // drop every session so nothing is silently lost.
+  while (scheduler_.pending() > 0) dispatch_next();
   while (!connections_.empty()) {
     const int fd = connections_.begin()->first;
     const std::uint64_t session = connections_.begin()->second.session;
@@ -353,13 +343,13 @@ bool Daemon::handle_hello(int fd, const std::vector<std::byte>& payload) {
   // all of it faithfully. Requests the admission path now refuses (the
   // daemon may have filled up meanwhile) come back as ordinary rejects
   // after the replay.
-  std::vector<std::pair<std::uint64_t, BatchScheduler::Admission>> refused;
+  std::vector<std::pair<std::uint64_t, RequestScheduler::Admission>> refused;
   if (resumed)
     for (wl::EnergyRequest& request : restored.pending) {
       const std::uint64_t ticket = request.ticket;
-      const BatchScheduler::Admission admission =
+      const RequestScheduler::Admission admission =
           scheduler_.submit(session, std::move(request));
-      if (admission != BatchScheduler::Admission::kAccepted)
+      if (admission != RequestScheduler::Admission::kAccepted)
         refused.emplace_back(ticket, admission);
     }
 
@@ -414,9 +404,9 @@ bool Daemon::handle_submit(int fd, const std::vector<std::byte>& payload) {
   }
 
   const std::uint64_t ticket = request.ticket;
-  const BatchScheduler::Admission admission =
+  const RequestScheduler::Admission admission =
       scheduler_.submit(session, std::move(request));
-  if (admission == BatchScheduler::Admission::kAccepted) {
+  if (admission == RequestScheduler::Admission::kAccepted) {
     registry.counter("serve.tenant." + state.metric_label + ".accepted").inc();
     return true;
   }
@@ -427,38 +417,18 @@ bool Daemon::handle_submit(int fd, const std::vector<std::byte>& payload) {
   return send_frame(fd, kTagServeReject, encode_serve_reject(reject));
 }
 
-void Daemon::dispatch_ready_batches(bool force) {
-  while (true) {
-    const std::size_t pending = scheduler_.pending();
-    if (pending == 0) break;
-    if (!force && pending < options_.limits.max_batch) {
-      const auto oldest = scheduler_.oldest_pending_since();
-      if (!oldest || std::chrono::steady_clock::now() - *oldest <
-                         options_.limits.batch_window)
-        break;
-    }
-    completed_.clear();
-    scheduler_.run_next_batch(completed_);
-    for (const BatchScheduler::Completed& done : completed_) deliver(done);
-    // A client that died mid-batch was unhooked inside deliver(); finish
-    // the teardown now that every completion of this batch is routed.
-    std::vector<std::uint64_t> orphaned;
-    for (const auto& [session, state] : sessions_)
-      if (state.fd < 0) orphaned.push_back(session);
-    for (std::uint64_t session : orphaned) close_session(session);
-  }
+void Daemon::dispatch_next() {
+  if (const std::optional<RequestScheduler::Completed> done =
+          scheduler_.run_next())
+    deliver(*done);
 }
 
-void Daemon::deliver(const BatchScheduler::Completed& done) {
+void Daemon::deliver(const RequestScheduler::Completed& done) {
   const auto it = sessions_.find(done.session);
-  if (it == sessions_.end()) return;  // session closed while solving
+  // A closing session takes its pending requests along, so this only
+  // guards the invariant.
+  if (it == sessions_.end()) return;
   Session& state = it->second;
-  if (state.fd < 0) {
-    // Disconnected mid-solve: the result survives for resume; its stage
-    // vector does not (a replayed result reports zero stages).
-    state.undelivered.push_back(done.result);
-    return;
-  }
   // serialize_us closes the daemon-side critical path: solved (admitted +
   // queue + solve) -> this result frame encoded.
   StageBreakdown stages = done.stages;
@@ -470,12 +440,10 @@ void Daemon::deliver(const BatchScheduler::Completed& done) {
                                encode_serve_result(done.result, stages));
   const std::uint64_t sent_us = obs::trace_now_us();
   if (!sent) {
-    // The socket is gone; keep the result for a future resume and unhook
-    // the connection. close_session runs after the batch finishes routing.
+    // The socket is gone; keep the result for a future resume and close
+    // the session, which checkpoints it.
     state.undelivered.push_back(done.result);
-    ::close(state.fd);
-    connections_.erase(state.fd);
-    state.fd = -1;
+    drop_connection(state.fd);
     return;
   }
   obs::Registry::instance()

@@ -3,10 +3,13 @@
 /// \file daemon.hpp
 /// The `wlsms serve` daemon: a persistent, multi-tenant energy service. One
 /// single-threaded poll loop owns a TCP listener, the per-connection frame
-/// reassembly, and a BatchScheduler over one shared LsmsSolver; independent
-/// clients (tenants) hand their walkers' configurations to the same solver
-/// and the scheduler coalesces concurrent requests into cross-walker
-/// batches solved by one OpenMP loop (scheduler.hpp, DESIGN.md §12).
+/// reassembly, and a RequestScheduler over one shared LsmsSolver;
+/// independent clients (tenants) hand their walkers' configurations to the
+/// same solver. Each poll cycle first reads everything readable (frames and
+/// EOFs alike), then solves one pending request, round-robin across
+/// sessions; the poll does not block while work is pending. Disconnects,
+/// handshake expiry and stop() are therefore handled between solves
+/// (scheduler.hpp, DESIGN.md §12).
 ///
 /// Fault containment mirrors the comm transports: a connection that sends
 /// garbage, violates the handshake, or goes quiet is closed — never allowed
@@ -18,7 +21,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -33,8 +35,8 @@ namespace wlsms::serve {
 
 /// Daemon construction knobs.
 struct ServeOptions {
-  /// Bind address; port 0 picks an ephemeral port (resolved address is
-  /// available via Daemon::address() and on_listening).
+  /// Bind address; port 0 picks an ephemeral port (the resolved address
+  /// is available via Daemon::address()).
   std::string listen = "127.0.0.1:0";
   ServeLimits limits;
   /// A connection that has not completed the hello/welcome handshake within
@@ -60,8 +62,6 @@ struct ServeOptions {
   /// send_deadline instead of absorbing results invisibly (0 = kernel
   /// default).
   std::size_t client_sndbuf = 0;
-  /// Called once the listener is bound, with the resolved "host:port".
-  std::function<void(const std::string&)> on_listening;
 };
 
 /// The serve daemon. Construct (binds + listens), then run() the poll loop;
@@ -86,7 +86,7 @@ class Daemon {
   void stop();
 
   /// Scheduler dispatch accounting (read after run() returns).
-  const BatchScheduler::Stats& scheduler_stats() const {
+  const RequestScheduler::Stats& scheduler_stats() const {
     return scheduler_.stats();
   }
 
@@ -115,12 +115,13 @@ class Daemon {
   bool handle_frame(int fd, const comm::Message& frame);
   bool handle_hello(int fd, const std::vector<std::byte>& payload);
   bool handle_submit(int fd, const std::vector<std::byte>& payload);
-  void dispatch_ready_batches(bool force = false);
+  /// Solves the next pending request, if any, and delivers it.
+  void dispatch_next();
   /// Routes one completion to its session: encodes the result with its
   /// completed stage vector, feeds the serve.stage_ms.* histograms, and
   /// emits the per-request serve.request span (adopted under the client's
   /// submitting span when the request carried a trace context).
-  void deliver(const BatchScheduler::Completed& done);
+  void deliver(const RequestScheduler::Completed& done);
   bool send_frame(int fd, std::uint32_t tag, std::vector<std::byte> payload);
   void drop_connection(int fd);
   void close_session(std::uint64_t session);
@@ -138,7 +139,7 @@ class Daemon {
 
   std::shared_ptr<const lsms::LsmsSolver> solver_;
   ServeOptions options_;
-  BatchScheduler scheduler_;
+  RequestScheduler scheduler_;
   std::string address_;
   int listener_ = -1;
   int stop_read_ = -1;   ///< self-pipe: run() polls this...
@@ -148,7 +149,6 @@ class Daemon {
   std::uint64_t next_session_ = 1;
   std::uint64_t token_state_;  ///< splitmix64 state for resume tokens
   std::set<std::string> tenant_labels_;  ///< tenants with own metric series
-  std::vector<BatchScheduler::Completed> completed_;  ///< reused scratch
 };
 
 }  // namespace wlsms::serve

@@ -2,19 +2,15 @@
 
 /// \file scheduler.hpp
 /// The daemon's request scheduler: admission control over a bounded pending
-/// queue with per-session quotas, round-robin batch formation across
-/// sessions, and the batched solve itself.
+/// queue with per-session quotas, and round-robin dispatch across sessions,
+/// one request at a time.
 ///
-/// Coalescing (DESIGN.md §12): every pending request is an independent
-/// walker configuration of the same structure, so one batch of B requests
-/// is B x n_atoms x n_points independent Schur solves.
-/// LsmsSolver::batch_energies runs them as one OpenMP loop (team size from
-/// OMP_NUM_THREADS) over the same per-point kernel energies() uses. Under
-/// light load (a lone pending request) the scheduler falls back to a real
-/// SynchronousEnergyService; both paths sum the same point terms in point
-/// then atom order, so they return bit-identical energies.
+/// One request is already n_atoms x n_points independent Schur solves, which
+/// LsmsSolver::energies runs as one OpenMP loop (team size from
+/// OMP_NUM_THREADS), so the scheduler hands the solver one configuration per
+/// dispatch and returns exactly the energy energies() computes
+/// (DESIGN.md §12).
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -24,27 +20,21 @@
 
 #include "lsms/solver.hpp"
 #include "serve/protocol.hpp"
-#include "wl/energy_function.hpp"
 #include "wl/energy_service.hpp"
 
 namespace wlsms::serve {
 
-/// Admission and batching knobs.
+/// Admission limits.
 struct ServeLimits {
   /// Daemon-wide cap on accepted-but-uncompleted requests; submissions
   /// beyond it are rejected with kQueueFull (backpressure, not buffering).
   std::size_t max_pending = 256;
   /// Per-session outstanding quota; beyond it kQuotaExceeded.
   std::size_t max_session_outstanding = 64;
-  /// Most requests one batched dispatch coalesces.
-  std::size_t max_batch = 16;
-  /// Latency budget: a pending request older than this forces a (possibly
-  /// singleton) dispatch even if the batch is not full.
-  std::chrono::milliseconds batch_window{5};
 };
 
-/// Session-aware batching scheduler over one LsmsSolver.
-class BatchScheduler {
+/// Session-aware request scheduler over one LsmsSolver.
+class RequestScheduler {
  public:
   enum class Admission { kAccepted, kQueueFull, kQuotaExceeded };
 
@@ -63,62 +53,43 @@ class BatchScheduler {
 
   /// Dispatch accounting, exposed for the bench and tests.
   struct Stats {
-    std::uint64_t batches = 0;            ///< run_next_batch calls
-    std::uint64_t batched_requests = 0;   ///< requests solved in multi-batches
-    std::uint64_t singleton_requests = 0; ///< requests solved one-at-a-time
+    std::uint64_t dispatches = 0;  ///< requests solved by run_next
   };
 
-  BatchScheduler(std::shared_ptr<const lsms::LsmsSolver> solver,
-                 ServeLimits limits);
+  RequestScheduler(std::shared_ptr<const lsms::LsmsSolver> solver,
+                   ServeLimits limits);
 
   /// Admission-controlled enqueue. On kAccepted the request is owned by the
-  /// scheduler until run_next_batch completes it or take_session removes it.
+  /// scheduler until run_next completes it or take_session removes it.
   Admission submit(std::uint64_t session, wl::EnergyRequest request);
 
   std::size_t pending() const { return n_pending_; }
   std::size_t session_pending(std::uint64_t session) const;
 
-  /// Enqueue time of the oldest pending request (nullopt when idle); the
-  /// daemon schedules its poll timeout so the batch window expires on time.
-  std::optional<std::chrono::steady_clock::time_point> oldest_pending_since()
-      const;
-
-  /// Forms the next batch — round-robin across sessions, one request per
-  /// session per lap, up to max_batch — solves it, and appends the results
-  /// to `out`. A batch of one runs through the synchronous reference
-  /// service; a failed batch (singular matrix) is retried request by
-  /// request so only the genuinely failing ones come back failed=true,
-  /// matching singleton semantics. No-op when nothing is pending.
-  void run_next_batch(std::vector<Completed>& out);
+  /// Takes the oldest request of the next session (round-robin in id order
+  /// past the last session served), solves it with the solver and returns
+  /// it; a singular zone solve completes it with failed=true. nullopt when
+  /// nothing is pending.
+  std::optional<Completed> run_next();
 
   /// Removes and returns every pending request of `session` (disconnect ->
   /// checkpoint). Oldest first.
   std::vector<wl::EnergyRequest> take_session(std::uint64_t session);
 
   const Stats& stats() const { return stats_; }
-  const ServeLimits& limits() const { return limits_; }
   std::size_t n_atoms() const { return solver_->n_atoms(); }
 
  private:
   struct Queued {
     wl::EnergyRequest request;
-    std::chrono::steady_clock::time_point enqueued;
     std::uint64_t admitted_us = 0;  ///< obs::trace_now_us() at admission
   };
 
-  wl::EnergyResult solve_singleton(wl::EnergyRequest request);
-
   std::shared_ptr<const lsms::LsmsSolver> solver_;
   ServeLimits limits_;
-  /// The singleton / retry path: a real SynchronousEnergyService over the
-  /// same solver, constructed directly — the factory (wlsms_factory) sits
-  /// above the serve client and thus above this library, so the daemon
-  /// cannot link back into it.
-  wl::LsmsEnergy energy_;
-  std::unique_ptr<wl::EnergyService> singleton_;
-
-  /// Ordered by session id for deterministic round-robin; the cursor
-  /// rotates so one chatty session cannot starve the others.
+  /// Non-empty queues only, ordered by session id for deterministic
+  /// round-robin; the cursor rotates so one chatty session cannot starve
+  /// the others.
   std::map<std::uint64_t, std::deque<Queued>> queues_;
   std::uint64_t cursor_ = 0;
   std::size_t n_pending_ = 0;

@@ -185,7 +185,7 @@ TEST(CliOptions, CountsValidateLowerBounds) {
   EXPECT_THROW(ThermoOptions::parse(parse({"thermo", "--dos", "d.csv",
                                            "--tmin", "500", "--tmax", "400"})),
                std::runtime_error);
-  EXPECT_THROW(ServeOptions::parse(parse({"serve", "--batch-window", "-5"})),
+  EXPECT_THROW(ServeOptions::parse(parse({"serve", "--max-pending", "0"})),
                std::runtime_error);
 }
 

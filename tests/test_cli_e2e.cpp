@@ -1,7 +1,8 @@
 // End-to-end observability through the installed binary: real `wlsms`
 // processes wired together over loopback TCP. Covers the live-introspection
 // path (`wlsms status` against a serving daemon and a distributed
-// controller), the SIGINT final-snapshot guarantee of `wlsms serve`, and the
+// controller), the SIGINT final-snapshot guarantee of `wlsms serve`, the
+// unrecognized-option warning coming before the command runs, and the
 // production of per-process trace files that tools/trace_merge.py stitches
 // (the merge itself is asserted by the fixture-chained python tests).
 //
@@ -23,99 +24,16 @@
 
 #include <gtest/gtest.h>
 
+#include "child_process.hpp"
+
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// One spawned wlsms subprocess with its stdout captured through a pipe
-/// (stderr stays on the test's stderr so failures are debuggable).
-struct Child {
-  pid_t pid = -1;
-  int out = -1;
-  std::string buffered;
-
-  ~Child() {
-    if (out >= 0) ::close(out);
-    if (pid > 0) {
-      ::kill(pid, SIGKILL);
-      ::waitpid(pid, nullptr, 0);
-    }
-  }
-};
-
-void spawn(Child& child, const std::vector<std::string>& args) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    ::close(fds[0]);
-    ::dup2(fds[1], STDOUT_FILENO);
-    ::close(fds[1]);
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(WLSMS_BINARY));
-    for (const std::string& arg : args)
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    argv.push_back(nullptr);
-    ::execv(WLSMS_BINARY, argv.data());
-    std::perror("execv wlsms");
-    ::_exit(127);
-  }
-  ::close(fds[1]);
-  child.pid = pid;
-  child.out = fds[0];
-}
-
-/// Reads the child's stdout until a line containing `needle` appears;
-/// returns that line. Fails the test on timeout or EOF.
-std::string await_line(Child& child, const std::string& needle,
-                       std::chrono::seconds timeout) {
-  const Clock::time_point deadline = Clock::now() + timeout;
-  while (Clock::now() < deadline) {
-    std::size_t start = 0;
-    for (std::size_t end = child.buffered.find('\n', start);
-         end != std::string::npos;
-         start = end + 1, end = child.buffered.find('\n', start)) {
-      const std::string line = child.buffered.substr(start, end - start);
-      if (line.find(needle) != std::string::npos) {
-        child.buffered.erase(0, end + 1);
-        return line;
-      }
-    }
-    child.buffered.erase(0, start);
-
-    struct pollfd pfd = {child.out, POLLIN, 0};
-    if (::poll(&pfd, 1, 200) <= 0) continue;
-    char chunk[4096];
-    const ssize_t got = ::read(child.out, chunk, sizeof(chunk));
-    if (got <= 0) break;  // EOF: fall through to the failure below
-    child.buffered.append(chunk, static_cast<std::size_t>(got));
-  }
-  ADD_FAILURE() << "never saw '" << needle << "' in child stdout; got:\n"
-                << child.buffered;
-  return {};
-}
-
-/// Waits for exit (draining stdout so the child never blocks on a full
-/// pipe); returns the exit status or -1 on timeout.
-int await_exit(Child& child, std::chrono::seconds timeout) {
-  const Clock::time_point deadline = Clock::now() + timeout;
-  while (Clock::now() < deadline) {
-    char chunk[4096];
-    struct pollfd pfd = {child.out, POLLIN, 0};
-    while (::poll(&pfd, 1, 0) > 0 &&
-           ::read(child.out, chunk, sizeof(chunk)) > 0) {
-    }
-    int status = 0;
-    const pid_t got = ::waitpid(child.pid, &status, WNOHANG);
-    if (got == child.pid) {
-      child.pid = -1;
-      return WIFEXITED(status) ? WEXITSTATUS(status) : -2;
-    }
-    ::poll(&pfd, 1, 100);
-  }
-  return -1;
-}
+using wlsms::test::address_after;
+using wlsms::test::await_exit;
+using wlsms::test::await_line;
+using wlsms::test::Child;
+using wlsms::test::spawn;
 
 /// Runs one wlsms invocation to completion, capturing stdout.
 std::string run_capture(const std::vector<std::string>& args,
@@ -132,15 +50,6 @@ std::string run_capture(const std::vector<std::string>& args,
   child.pid = -1;
   *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -2;
   return out;
-}
-
-std::string address_after(const std::string& line, const std::string& prefix) {
-  const std::size_t at = line.find(prefix);
-  if (at == std::string::npos) return {};
-  std::string rest = line.substr(at + prefix.size());
-  const std::size_t cut = rest.find_first_of(" ;");
-  if (cut != std::string::npos) rest.resize(cut);
-  return rest;
 }
 
 std::string slurp(const std::string& path) {
@@ -230,6 +139,25 @@ TEST(CliE2e, ServeStatusProbeAndSigintFinalSnapshot) {
   EXPECT_NE(last.find("\"wall_ms\":"), std::string::npos);
 
   EXPECT_NE(slurp(trace).find("\"traceEvents\""), std::string::npos);
+}
+
+TEST(CliE2e, ServeWarnsAboutUnknownOptionsBeforeServing) {
+  // An unrecognized option must be reported before the command runs; a
+  // daemon that warned only at shutdown would already have served with the
+  // defaults a typo left in place.
+  Child daemon;
+  spawn(daemon, {"serve", "--listen", "127.0.0.1:0", "--max-batch", "4"},
+        /*merge_stderr=*/true);
+  EXPECT_FALSE(await_line(daemon,
+                          "warning: unrecognized option --max-batch ignored",
+                          std::chrono::seconds(60))
+                   .empty());
+  // await_line drops every line up to its match, so this sees "serving on"
+  // only if the daemon wrote it after the warning.
+  EXPECT_FALSE(
+      await_line(daemon, "serving on ", std::chrono::seconds(30)).empty());
+  ASSERT_EQ(::kill(daemon.pid, SIGINT), 0);
+  EXPECT_EQ(await_exit(daemon, std::chrono::seconds(30)), 0);
 }
 
 TEST(CliE2e, DistributedExternalWorkersAlignClocksAndEmitTraces) {

@@ -15,8 +15,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <string>
 
@@ -31,11 +29,13 @@
 #include "lsms/solver.hpp"
 #include "obs/metrics.hpp"
 #include "wl/energy_function.hpp"
+#include "child_process.hpp"
 
 namespace wlsms::comm {
 namespace {
 
 using namespace std::chrono_literals;
+using test::child_pids;
 
 Message text_message(std::uint32_t tag, const std::string& text) {
   Message message;
@@ -310,19 +310,6 @@ TEST(ProcessDistributedService, SigkilledWorkerMidRunRequestCompletes) {
   // Still serviceable afterwards.
   distributed.submit({0, 2, moments});
   EXPECT_EQ(distributed.retrieve().energy, f.energy->total_energy(moments));
-}
-
-/// Pids of this process's live children, from every thread's
-/// /proc/self/task/<tid>/children list.
-std::set<pid_t> child_pids() {
-  std::set<pid_t> pids;
-  for (const auto& task :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    std::ifstream children(task.path() / "children");
-    pid_t pid = 0;
-    while (children >> pid) pids.insert(pid);
-  }
-  return pids;
 }
 
 TEST(ProcessDistributedService, HeartbeatTimeoutKillsExactlyTheStoppedWorker) {

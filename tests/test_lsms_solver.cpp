@@ -269,46 +269,6 @@ TEST(LsmsSolver, SchurPathMatchesReferenceAssembly) {
   EXPECT_NEAR(solver.local_energy(0, config), reference, 1e-10);
 }
 
-TEST(LsmsSolver, BatchEnergiesMatchEnergiesBitExactly) {
-  // batch_energies runs every (configuration, atom) zone solve of a batch in
-  // one OpenMP loop; each result must be bitwise energies() of its
-  // configuration at any team size, including a configuration that appears
-  // twice in one batch. A 50-member LIZ puts the order-100 member block on
-  // the blocked-LU path the serving daemon runs.
-  LsmsParameters params = fe_lsms_parameters_fast();
-  params.liz_radius = 9.1;
-  const LsmsSolver solver(lattice::make_fe_supercell(2), params);
-  ASSERT_GE(2 * (solver.liz_size(0) - 1), linalg::kLuBlockedThreshold);
-  Rng rng(29);
-  const auto a = spin::MomentConfiguration::random(16, rng);
-  const auto b = spin::MomentConfiguration::random(16, rng);
-  const std::vector<std::vector<const spin::MomentConfiguration*>> batches = {
-      {}, {&a}, {&a, &b, &a}};
-
-  const int saved_threads = omp_get_max_threads();
-  for (const int threads : {1, 4}) {
-    omp_set_num_threads(threads);
-    for (const auto& batch : batches) {
-      const std::vector<LocalEnergies> got = solver.batch_energies(batch);
-      ASSERT_EQ(got.size(), batch.size());
-      for (std::size_t c = 0; c < batch.size(); ++c) {
-        const LocalEnergies expected = solver.energies(*batch[c]);
-        ASSERT_EQ(got[c].per_atom.size(), expected.per_atom.size());
-        EXPECT_EQ(std::memcmp(got[c].per_atom.data(), expected.per_atom.data(),
-                              expected.per_atom.size() * sizeof(double)),
-                  0)
-            << "threads " << threads << ", batch of " << batch.size()
-            << ", config " << c;
-        EXPECT_EQ(std::memcmp(&got[c].total, &expected.total, sizeof(double)),
-                  0)
-            << "threads " << threads << ", batch of " << batch.size()
-            << ", config " << c;
-      }
-    }
-  }
-  omp_set_num_threads(saved_threads);
-}
-
 TEST(LsmsSolver, EnergyScalesExtensively) {
   // Twice the cell volume (FM reference): twice the energy per the shared-
   // geometry zones.
@@ -329,8 +289,6 @@ TEST(LsmsSolver, ContractViolations) {
   EXPECT_THROW(solver.energy(wrong_size), ContractError);
   EXPECT_THROW(solver.local_energy(99, wrong_size), ContractError);
   EXPECT_THROW(solver.affected_sites(99), ContractError);
-  EXPECT_THROW(solver.batch_energies({&wrong_size}), ContractError);
-  EXPECT_THROW(solver.batch_energies({nullptr}), ContractError);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-// The tentpole acceptance property: N walkers' energies computed through
-// the batching scheduler are IDENTICAL (==, not approximately) to computing
-// each alone through SynchronousEnergyService — at batch sizes 1, 2, 7, and
-// 64, both in-process ("thread transport": the scheduler driven directly)
-// and over a real TCP daemon with a ServeClient.
+// The serving acceptance property: N concurrent walkers' energies computed
+// through the request scheduler are IDENTICAL (==, not approximately) to
+// computing each alone through SynchronousEnergyService — at 1, 2, 7, and 64
+// concurrent requests, both in-process (the scheduler driven directly) and
+// over a real TCP daemon with a ServeClient.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,10 +15,12 @@
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/scheduler.hpp"
+#include "wl/energy_function.hpp"
 
 namespace wlsms::serve {
 namespace {
 
+/// Requests outstanding at once in each round.
 constexpr std::size_t kBatchSizes[] = {1, 2, 7, 64};
 
 std::shared_ptr<const lsms::LsmsSolver> small_solver() {
@@ -62,8 +64,7 @@ TEST(ServeParity, SchedulerMatchesSynchronousAtEveryBatchSize) {
     ServeLimits limits;
     limits.max_pending = batch_size + 8;
     limits.max_session_outstanding = batch_size;
-    limits.max_batch = batch_size;
-    BatchScheduler scheduler(small_solver(), limits);
+    RequestScheduler scheduler(small_solver(), limits);
 
     const std::vector<wl::EnergyRequest> requests =
         make_requests(batch_size, 700 + batch_size);
@@ -71,20 +72,19 @@ TEST(ServeParity, SchedulerMatchesSynchronousAtEveryBatchSize) {
 
     for (const wl::EnergyRequest& request : requests)
       ASSERT_EQ(scheduler.submit(1, request),
-                BatchScheduler::Admission::kAccepted);
-    std::vector<BatchScheduler::Completed> completed;
-    while (scheduler.pending() > 0) scheduler.run_next_batch(completed);
+                RequestScheduler::Admission::kAccepted);
+    std::vector<RequestScheduler::Completed> completed;
+    while (const std::optional<RequestScheduler::Completed> done =
+               scheduler.run_next())
+      completed.push_back(*done);
 
     ASSERT_EQ(completed.size(), batch_size);
-    for (const BatchScheduler::Completed& done : completed) {
+    for (const RequestScheduler::Completed& done : completed) {
       ASSERT_FALSE(done.result.failed);
       EXPECT_EQ(done.result.energy, expected[done.result.ticket - 1])
           << "batch size " << batch_size << ", ticket " << done.result.ticket;
     }
-    if (batch_size > 1)
-      EXPECT_EQ(scheduler.stats().batched_requests, batch_size);
-    else
-      EXPECT_EQ(scheduler.stats().singleton_requests, 1u);
+    EXPECT_EQ(scheduler.stats().dispatches, batch_size);
   }
 }
 
@@ -94,8 +94,6 @@ TEST(ServeParity, TcpDaemonMatchesSynchronousAtEveryBatchSize) {
     options.listen = "127.0.0.1:0";
     options.limits.max_pending = batch_size + 8;
     options.limits.max_session_outstanding = batch_size;
-    options.limits.max_batch = batch_size;
-    options.limits.batch_window = std::chrono::milliseconds(200);
 
     Daemon daemon(small_solver(), options);
     std::thread server([&daemon] { daemon.run(); });
@@ -124,8 +122,7 @@ TEST(ServeParity, TcpDaemonMatchesSynchronousAtEveryBatchSize) {
 
     daemon.stop();
     server.join();
-    if (batch_size > 1)
-      EXPECT_EQ(daemon.scheduler_stats().batched_requests, batch_size);
+    EXPECT_EQ(daemon.scheduler_stats().dispatches, batch_size);
   }
 }
 

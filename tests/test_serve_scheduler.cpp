@@ -1,17 +1,19 @@
-// BatchScheduler unit tests: admission control (bounded pending queue +
-// per-session quota), round-robin fairness across sessions, the singleton
-// fallback under light load, take_session teardown, and — the load-bearing
-// property — batched energies bit-identical to the synchronous reference
-// service.
+// RequestScheduler unit tests: admission control (bounded pending queue +
+// per-session quota), round-robin dispatch order across sessions,
+// take_session teardown, and — the load-bearing property — served energies
+// bit-identical to the synchronous reference service and the solver.
 #include "serve/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "lattice/structure.hpp"
 #include "lsms/fe_parameters.hpp"
+#include "wl/energy_function.hpp"
 
 namespace wlsms::serve {
 namespace {
@@ -35,11 +37,10 @@ TEST(ServeScheduler, AdmissionEnforcesQuotaAndQueueBound) {
   ServeLimits limits;
   limits.max_pending = 4;
   limits.max_session_outstanding = 2;
-  limits.max_batch = 4;
-  BatchScheduler scheduler(small_solver(), limits);
+  RequestScheduler scheduler(small_solver(), limits);
   Rng rng(601);
 
-  using Admission = BatchScheduler::Admission;
+  using Admission = RequestScheduler::Admission;
   EXPECT_EQ(scheduler.submit(1, request_for(1, rng)), Admission::kAccepted);
   EXPECT_EQ(scheduler.submit(1, request_for(2, rng)), Admission::kAccepted);
   // Session 1 is at its quota; the daemon-wide queue still has room.
@@ -55,59 +56,43 @@ TEST(ServeScheduler, AdmissionEnforcesQuotaAndQueueBound) {
   EXPECT_EQ(scheduler.session_pending(4), 0u);
 }
 
-TEST(ServeScheduler, RoundRobinKeepsChattySessionFromFillingTheBatch) {
+TEST(ServeScheduler, RoundRobinDispatchInterleavesSessions) {
   ServeLimits limits;
   limits.max_pending = 32;
   limits.max_session_outstanding = 16;
-  limits.max_batch = 4;
-  BatchScheduler scheduler(small_solver(), limits);
+  RequestScheduler scheduler(small_solver(), limits);
   Rng rng(602);
 
   std::uint64_t ticket = 1;
   for (int k = 0; k < 6; ++k)
-    scheduler.submit(1, request_for(ticket++, rng));
+    scheduler.submit(1, request_for(ticket++, rng));  // tickets 1-6
   for (int k = 0; k < 2; ++k)
-    scheduler.submit(2, request_for(ticket++, rng));
+    scheduler.submit(2, request_for(ticket++, rng));  // tickets 7-8
   for (int k = 0; k < 2; ++k)
-    scheduler.submit(3, request_for(ticket++, rng));
+    scheduler.submit(3, request_for(ticket++, rng));  // tickets 9-10
 
-  std::vector<BatchScheduler::Completed> completed;
-  scheduler.run_next_batch(completed);
-  ASSERT_EQ(completed.size(), 4u);
-  std::size_t from_session_1 = 0;
-  bool saw_2 = false, saw_3 = false;
-  for (const BatchScheduler::Completed& done : completed) {
-    if (done.session == 1) ++from_session_1;
-    if (done.session == 2) saw_2 = true;
-    if (done.session == 3) saw_3 = true;
+  // One request per session per lap, oldest first within a session:
+  // sessions 2 and 3 are served within the first three dispatches even
+  // though session 1 queued three times as much.
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> expected = {
+      {1, 1}, {2, 7}, {3, 9}, {1, 2}, {2, 8},
+      {3, 10}, {1, 3}, {1, 4}, {1, 5}, {1, 6}};
+  for (const auto& [session, ticket_served] : expected) {
+    const std::optional<RequestScheduler::Completed> done =
+        scheduler.run_next();
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->session, session);
+    EXPECT_EQ(done->result.ticket, ticket_served);
   }
-  // One request per session per lap: sessions 2 and 3 each get a slot in
-  // the first batch even though session 1 queued three times as much.
-  EXPECT_EQ(from_session_1, 2u);
-  EXPECT_TRUE(saw_2);
-  EXPECT_TRUE(saw_3);
-  EXPECT_EQ(scheduler.pending(), 6u);
+  EXPECT_EQ(scheduler.pending(), 0u);
+  EXPECT_FALSE(scheduler.run_next().has_value());
+  EXPECT_EQ(scheduler.stats().dispatches, expected.size());
 }
 
-TEST(ServeScheduler, LonePendingRequestTakesTheSingletonPath) {
+TEST(ServeScheduler, EnergiesMatchSynchronousServiceBitExactly) {
   ServeLimits limits;
-  BatchScheduler scheduler(small_solver(), limits);
-  Rng rng(603);
-  scheduler.submit(1, request_for(1, rng));
-
-  std::vector<BatchScheduler::Completed> completed;
-  scheduler.run_next_batch(completed);
-  ASSERT_EQ(completed.size(), 1u);
-  EXPECT_FALSE(completed.front().result.failed);
-  EXPECT_EQ(scheduler.stats().singleton_requests, 1u);
-  EXPECT_EQ(scheduler.stats().batched_requests, 0u);
-}
-
-TEST(ServeScheduler, BatchedEnergiesMatchSynchronousServiceBitExactly) {
-  ServeLimits limits;
-  limits.max_batch = 8;
   limits.max_session_outstanding = 8;
-  BatchScheduler scheduler(small_solver(), limits);
+  RequestScheduler scheduler(small_solver(), limits);
 
   Rng rng(604);
   std::vector<wl::EnergyRequest> requests;
@@ -115,21 +100,25 @@ TEST(ServeScheduler, BatchedEnergiesMatchSynchronousServiceBitExactly) {
     requests.push_back(request_for(t, rng));
   for (std::size_t k = 0; k < requests.size(); ++k)
     ASSERT_EQ(scheduler.submit(1 + k % 3, requests[k]),
-              BatchScheduler::Admission::kAccepted);
+              RequestScheduler::Admission::kAccepted);
 
-  std::vector<BatchScheduler::Completed> completed;
-  while (scheduler.pending() > 0) scheduler.run_next_batch(completed);
+  std::vector<RequestScheduler::Completed> completed;
+  while (const std::optional<RequestScheduler::Completed> done =
+             scheduler.run_next())
+    completed.push_back(*done);
   ASSERT_EQ(completed.size(), requests.size());
-  EXPECT_GT(scheduler.stats().batched_requests, 0u);
 
   const wl::LsmsEnergy reference(small_solver());
   wl::SynchronousEnergyService sync(reference);
-  for (const BatchScheduler::Completed& done : completed) {
+  for (const RequestScheduler::Completed& done : completed) {
     ASSERT_FALSE(done.result.failed);
     const wl::EnergyRequest& request = requests[done.result.ticket - 1];
     sync.submit(request);
     const wl::EnergyResult expected = sync.retrieve();
     EXPECT_EQ(done.result.energy, expected.energy)
+        << "ticket " << done.result.ticket;
+    EXPECT_EQ(done.result.energy,
+              small_solver()->energies(request.config).total)
         << "ticket " << done.result.ticket;
   }
 }
@@ -137,7 +126,7 @@ TEST(ServeScheduler, BatchedEnergiesMatchSynchronousServiceBitExactly) {
 TEST(ServeScheduler, TakeSessionRemovesExactlyThatSessionsRequests) {
   ServeLimits limits;
   limits.max_session_outstanding = 8;
-  BatchScheduler scheduler(small_solver(), limits);
+  RequestScheduler scheduler(small_solver(), limits);
   Rng rng(605);
   for (std::uint64_t t = 1; t <= 3; ++t)
     scheduler.submit(5, request_for(t, rng));
@@ -153,19 +142,6 @@ TEST(ServeScheduler, TakeSessionRemovesExactlyThatSessionsRequests) {
   EXPECT_EQ(scheduler.pending(), 1u);
   EXPECT_EQ(scheduler.session_pending(5), 0u);
   EXPECT_TRUE(scheduler.take_session(5).empty());
-}
-
-TEST(ServeScheduler, OldestPendingDrivesTheBatchWindow) {
-  ServeLimits limits;
-  BatchScheduler scheduler(small_solver(), limits);
-  EXPECT_FALSE(scheduler.oldest_pending_since().has_value());
-  Rng rng(606);
-  const auto before = std::chrono::steady_clock::now();
-  scheduler.submit(1, request_for(1, rng));
-  const auto oldest = scheduler.oldest_pending_since();
-  ASSERT_TRUE(oldest.has_value());
-  EXPECT_GE(*oldest, before);
-  EXPECT_LE(*oldest, std::chrono::steady_clock::now());
 }
 
 }  // namespace

@@ -1,9 +1,16 @@
 // End-to-end daemon tests over real TCP loopback sockets: hostile byte
 // streams against a live daemon, admission-control backpressure on the
-// wire, checkpointed session resume, a client killed during a batched
-// solve, and a multi-client connect/disconnect soak — the daemon must never
+// wire, checkpointed session resume, a client killed while its requests are
+// queued, and a multi-client connect/disconnect soak — the daemon must never
 // crash, leak sessions (the serve.sessions gauge returns to zero), or stall
 // the surviving tenants.
+//
+// The backpressure and resume tests need requests to stay pending, so they
+// run `wlsms serve` (WLSMS_BINARY, injected by CMake) and SIGSTOP it. What
+// a client writes meanwhile, frames and EOF alike, queues in the kernel;
+// once continued, the daemon reads all of it in one poll cycle, admitting
+// or rejecting every frame and checkpointing on the EOF, before it solves
+// anything.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,7 +23,9 @@
 #include <vector>
 
 #include <dirent.h>
+#include <linux/sockios.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -30,9 +39,12 @@
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/status.hpp"
+#include "child_process.hpp"
 
 namespace wlsms::serve {
 namespace {
+
+using namespace std::chrono_literals;
 
 std::shared_ptr<const lsms::LsmsSolver> small_solver() {
   static const auto solver = std::make_shared<const lsms::LsmsSolver>(
@@ -95,6 +107,102 @@ bool wait_for_sessions_gauge(double expected,
   return gauge.value() == expected;
 }
 
+/// `wlsms serve --cells 2` (the small_solver() substrate) in a child
+/// process on an ephemeral loopback port, which the test can stop and
+/// continue.
+class ServeProcess {
+ public:
+  explicit ServeProcess(const std::vector<std::string>& extra_args) {
+    std::vector<std::string> args = {"serve", "--cells", "2", "--listen",
+                                     "127.0.0.1:0"};
+    args.insert(args.end(), extra_args.begin(), extra_args.end());
+    test::spawn(child_, args);
+    address_ = test::address_after(
+        test::await_line(child_, "serving on ", 60s), "serving on ");
+  }
+
+  const std::string& address() const { return address_; }
+
+  /// SIGSTOP, returning once the daemon is stopped.
+  void pause() {
+    ASSERT_EQ(::kill(child_.pid, SIGSTOP), 0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child_.pid, &status, WUNTRACED), child_.pid);
+    ASSERT_TRUE(WIFSTOPPED(status));
+  }
+
+  void resume() { ASSERT_EQ(::kill(child_.pid, SIGCONT), 0); }
+
+  /// SIGINT (drain, checkpoint, exit); the daemon's exit status.
+  int stop() {
+    if (::kill(child_.pid, SIGINT) != 0) return -1;
+    return test::await_exit(child_, 30s);
+  }
+
+ private:
+  test::Child child_;
+  std::string address_;
+};
+
+/// A serve session driven frame by frame, so the test holds the socket.
+struct RawSession {
+  comm::Socket sock;
+  ServeWelcome welcome;
+};
+
+RawSession raw_handshake(const std::string& address,
+                         const std::string& tenant) {
+  RawSession session;
+  session.sock = comm::connect_with_timeout(address, 2000ms);
+  ServeHello hello;
+  hello.tenant = tenant;
+  const std::vector<std::byte> frame =
+      comm::frame_bytes({kTagServeHello, encode_serve_hello(hello)});
+  EXPECT_TRUE(comm::write_all(session.sock.get(), frame.data(), frame.size(),
+                              comm::StreamClock::now() + 2s));
+  const comm::Message reply =
+      comm::read_one_frame(session.sock.get(), comm::StreamClock::now() + 5s);
+  EXPECT_EQ(reply.tag, static_cast<std::uint32_t>(kTagServeWelcome));
+  session.welcome = decode_serve_welcome(reply.payload);
+  return session;
+}
+
+void raw_submit(int fd, const wl::EnergyRequest& request) {
+  const std::vector<std::byte> frame =
+      comm::frame_bytes({kTagServeSubmit, encode_serve_submit(request)});
+  ASSERT_TRUE(comm::write_all(fd, frame.data(), frame.size(),
+                              comm::StreamClock::now() + 2s));
+}
+
+/// Returns once the peer's kernel has acknowledged every byte written on
+/// `fd` (and the FIN, after a shutdown): all of it is then queued for the
+/// daemon, stopped or not.
+void wait_until_acknowledged(int fd) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  int unacknowledged = 0;
+  while (::ioctl(fd, SIOCOUTQ, &unacknowledged) == 0 && unacknowledged > 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  ASSERT_EQ(unacknowledged, 0);
+}
+
+/// Writes `requests` while the daemon is stopped and, unless `stay`, hangs
+/// up; the frames (and the EOF) are all in the daemon's receive queue when
+/// it continues.
+void submit_while_paused(ServeProcess& daemon, RawSession& session,
+                         const std::vector<wl::EnergyRequest>& requests,
+                         bool stay) {
+  daemon.pause();
+  for (const wl::EnergyRequest& request : requests)
+    raw_submit(session.sock.get(), request);
+  if (!stay) {
+    ASSERT_EQ(::shutdown(session.sock.get(), SHUT_WR), 0);
+  }
+  wait_until_acknowledged(session.sock.get());
+  if (!stay) session.sock.close();
+  daemon.resume();
+}
+
 TEST(ServeTcp, GarbageStreamsAgainstLiveDaemonNeverCrashIt) {
   ServeOptions options;
   options.handshake_timeout = std::chrono::milliseconds(300);
@@ -131,33 +239,35 @@ TEST(ServeTcp, GarbageStreamsAgainstLiveDaemonNeverCrashIt) {
 }
 
 TEST(ServeTcp, QueueFullBackpressureRejectsOnTheWire) {
-  ServeOptions options;
-  options.limits.max_pending = 2;
-  options.limits.max_session_outstanding = 16;
-  options.limits.max_batch = 16;
-  options.limits.batch_window = std::chrono::milliseconds(300);
-  DaemonFixture fixture(options);
+  ServeProcess daemon({"--max-pending", "2", "--max-outstanding", "16"});
   Rng rng(902);
 
-  ServeClient client(fixture.address());
+  RawSession client = raw_handshake(daemon.address(), "backpressure");
   std::vector<wl::EnergyRequest> requests;
-  for (std::uint64_t t = 1; t <= 5; ++t) {
+  for (std::uint64_t t = 1; t <= 5; ++t)
     requests.push_back(make_request(t, rng));
-    client.submit(requests.back());
-  }
+  submit_while_paused(daemon, client, requests, /*stay=*/true);
+
   std::size_t rejected = 0, succeeded = 0;
-  while (client.outstanding() > 0) {
-    const wl::EnergyResult result = client.retrieve();
-    if (result.failed) {
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    const comm::Message reply =
+        comm::read_one_frame(client.sock.get(), comm::StreamClock::now() + 30s);
+    if (reply.tag == kTagServeReject) {
+      EXPECT_EQ(decode_serve_reject(reply.payload).reason,
+                ServeReject::Reason::kQueueFull);
       ++rejected;
     } else {
-      ++succeeded;
+      ASSERT_EQ(reply.tag, static_cast<std::uint32_t>(kTagServeResult));
+      const wl::EnergyResult result = decode_serve_result(reply.payload);
+      ASSERT_FALSE(result.failed);
       EXPECT_EQ(result.energy,
                 small_solver()->energy(requests[result.ticket - 1].config));
+      ++succeeded;
     }
   }
   EXPECT_EQ(succeeded, 2u);
   EXPECT_EQ(rejected, 3u);
+  EXPECT_EQ(daemon.stop(), 0);
 }
 
 TEST(ServeTcp, SessionCheckpointResumeRecoversPendingWork) {
@@ -165,46 +275,38 @@ TEST(ServeTcp, SessionCheckpointResumeRecoversPendingWork) {
   ASSERT_NE(::mkdtemp(dir_template), nullptr);
   const std::string checkpoint_dir = dir_template;
 
-  ServeOptions options;
-  options.checkpoint_dir = checkpoint_dir;
-  options.limits.batch_window = std::chrono::milliseconds(500);
-  options.limits.max_batch = 16;
-  DaemonFixture fixture(options);
+  ServeProcess daemon({"--checkpoint-dir", checkpoint_dir});
   Rng rng(903);
 
   std::vector<wl::EnergyRequest> requests;
-  std::uint64_t session = 0, token = 0;
-  {
-    ClientOptions client_options;
-    client_options.tenant = "resumer";
-    ServeClient client(fixture.address(), client_options);
-    session = client.session();
-    token = client.resume_token();
-    for (std::uint64_t t = 1; t <= 3; ++t) {
-      requests.push_back(make_request(t, rng));
-      client.submit(requests.back());
-    }
-    client.abort_socket();  // die with 3 requests in flight
-  }
-  ASSERT_TRUE(wait_for_sessions_gauge(0.0, std::chrono::seconds(5)));
-  const std::string checkpoint_file =
-      checkpoint_dir + "/session-" + std::to_string(session) + ".wlsm";
-  ASSERT_EQ(::access(checkpoint_file.c_str(), F_OK), 0);
+  for (std::uint64_t t = 1; t <= 3; ++t)
+    requests.push_back(make_request(t, rng));
+  RawSession client = raw_handshake(daemon.address(), "resumer");
+  const std::uint64_t session = client.welcome.session;
+  const std::uint64_t token = client.welcome.resume_token;
+  // Die with 3 requests in flight.
+  submit_while_paused(daemon, client, requests, /*stay=*/false);
 
-  // The wrong token must not resurrect the session.
+  // The wrong token must not resurrect the session. Its hello is read on a
+  // later poll cycle than the EOF above, so the checkpoint exists by then.
   {
     ClientOptions stolen;
     stolen.tenant = "resumer";
     stolen.resume_session = session;
     stolen.resume_token = token ^ 1;
-    EXPECT_THROW(ServeClient(fixture.address(), stolen), comm::CommError);
+    EXPECT_THROW(ServeClient(daemon.address(), stolen), comm::CommError);
   }
+  EXPECT_NE(fetch_status(daemon.address()).find("\nserve_sessions 0\n"),
+            std::string::npos);
+  const std::string checkpoint_file =
+      checkpoint_dir + "/session-" + std::to_string(session) + ".wlsm";
+  ASSERT_EQ(::access(checkpoint_file.c_str(), F_OK), 0);
 
   ClientOptions resume_options;
   resume_options.tenant = "resumer";
   resume_options.resume_session = session;
   resume_options.resume_token = token;
-  ServeClient resumed(fixture.address(), resume_options);
+  ServeClient resumed(daemon.address(), resume_options);
   EXPECT_TRUE(resumed.resumed());
   EXPECT_EQ(resumed.session(), session);
   ASSERT_EQ(resumed.outstanding(), 3u);
@@ -220,15 +322,12 @@ TEST(ServeTcp, SessionCheckpointResumeRecoversPendingWork) {
   // A consumed checkpoint is deleted — it cannot be replayed twice.
   EXPECT_NE(::access(checkpoint_file.c_str(), F_OK), 0);
 
-  std::remove(checkpoint_file.c_str());
-  ::rmdir(checkpoint_dir.c_str());
+  EXPECT_EQ(daemon.stop(), 0);
+  remove_checkpoint_dir(checkpoint_dir);
 }
 
 TEST(ServeTcp, KillingAClientMidBatchDoesNotStallTheOtherTenant) {
-  ServeOptions options;
-  options.limits.max_batch = 8;
-  options.limits.batch_window = std::chrono::milliseconds(100);
-  DaemonFixture fixture(options);
+  DaemonFixture fixture(ServeOptions{});
   Rng rng(904);
 
   ClientOptions alice_options;
@@ -244,7 +343,7 @@ TEST(ServeTcp, KillingAClientMidBatchDoesNotStallTheOtherTenant) {
     bob_requests.push_back(make_request(t, rng));
     bob.submit(bob_requests.back());
   }
-  alice.abort_socket();  // alice dies while her requests are co-batched
+  alice.abort_socket();  // alice dies while her requests are queued
 
   std::size_t received = 0;
   while (bob.outstanding() > 0) {
@@ -264,29 +363,26 @@ TEST(ServeTcp, RestartedDaemonNeverReissuesACheckpointedSessionId) {
   const std::string checkpoint_dir = dir_template;
   Rng rng(905);
 
-  ServeOptions options;
-  options.checkpoint_dir = checkpoint_dir;
-  options.limits.batch_window = std::chrono::milliseconds(500);
-
   std::vector<wl::EnergyRequest> requests;
+  for (std::uint64_t t = 1; t <= 2; ++t)
+    requests.push_back(make_request(t, rng));
   std::uint64_t session = 0, token = 0;
   {
-    DaemonFixture first(options);
-    ClientOptions alice_options;
-    alice_options.tenant = "alice";
-    ServeClient alice(first.address(), alice_options);
-    session = alice.session();
-    token = alice.resume_token();
-    for (std::uint64_t t = 1; t <= 2; ++t) {
-      requests.push_back(make_request(t, rng));
-      alice.submit(requests.back());
-    }
-    alice.abort_socket();  // die with in-flight work checkpointed
-    ASSERT_TRUE(wait_for_sessions_gauge(0.0, std::chrono::seconds(5)));
+    ServeProcess first({"--checkpoint-dir", checkpoint_dir});
+    RawSession alice = raw_handshake(first.address(), "alice");
+    session = alice.welcome.session;
+    token = alice.welcome.resume_token;
+    // Die with in-flight work checkpointed.
+    submit_while_paused(first, alice, requests, /*stay=*/false);
+    // The status probe is read on a later poll cycle than alice's frames
+    // and EOF, so her checkpoint is on disk before the daemon stops.
+    EXPECT_NE(fetch_status(first.address()).find("\nserve_sessions 0\n"),
+              std::string::npos);
+    EXPECT_EQ(first.stop(), 0);
   }  // daemon restarts; checkpoint files survive in checkpoint_dir
 
   {
-    DaemonFixture second(options);
+    ServeProcess second({"--checkpoint-dir", checkpoint_dir});
     // A fresh tenant on the restarted daemon must get a brand-new session
     // id. Without seeding next_session_ past the surviving checkpoints it
     // got alice's id, which first blocked her resume and then overwrote
@@ -316,6 +412,7 @@ TEST(ServeTcp, RestartedDaemonNeverReissuesACheckpointedSessionId) {
       EXPECT_EQ(result.energy,
                 small_solver()->energy(requests[result.ticket - 1].config));
     }
+    EXPECT_EQ(second.stop(), 0);
   }
   remove_checkpoint_dir(checkpoint_dir);
 }
@@ -360,8 +457,6 @@ TEST(ServeTcp, ClientDeathMidResumeReplayKeepsCheckpointRecoverable) {
   options.send_deadline = std::chrono::milliseconds(200);
   options.client_sndbuf = 8192;  // keeps the stalled replay's buffering small
   options.limits.max_pending = 512;
-  options.limits.max_batch = 2;  // both pending solve as soon as both queue
-  options.limits.batch_window = std::chrono::seconds(10);
   DaemonFixture fixture(options);
 
   // Victim: resumes the session but never reads a byte, so the replay
@@ -453,9 +548,7 @@ TEST(ServeTcp, TenantMetricSeriesAreCappedAtMaxTenantSeries) {
 
 TEST(ServeTcp, MultiClientChaosSoakLeaksNothingAndStallsNoOne) {
   ServeOptions options;
-  options.limits.max_batch = 8;
   options.limits.max_pending = 128;
-  options.limits.batch_window = std::chrono::milliseconds(5);
   DaemonFixture fixture(options);
 
   std::atomic<bool> chaos_failed{false};
